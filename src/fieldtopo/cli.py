@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,56 +36,40 @@ FWHM_PER_RS = math.sqrt(8.0 * math.log(2.0))
 # run configuration (plain key = value file)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything an ensemble run needs; keys in a config file mirror these names."""
+    """A parsed config file: the ensemble's run parameters and how to run it."""
 
-    amplitude: float = 1.0
-    alpha: float = 0.0
-    k_low_cutoff: float | None = None
-    k_high_cutoff: float | None = None
-    n: int = 256
-    boxsize: float = 256.0
-    dim: int = 2
-    rs: float = 0.0
-    n_realizations: int = 2
-    thresholds: tuple[float, ...] = (0.0,)
-    master_seed: int = 0
-    sigma_mode: str | float = "sample"
+    config: ens.EnsembleConfig
     output_dir: str = "."
     workers: int = 1
     verbosity: int = 1
 
-    def model(self) -> PowerSpectrumModel:
-        return PowerSpectrumModel(
-            amplitude=self.amplitude,
-            alpha=self.alpha,
-            k_low_cutoff=self.k_low_cutoff,
-            k_high_cutoff=self.k_high_cutoff,
-        )
-
     def ensemble_config(self) -> ens.EnsembleConfig:
-        return ens.EnsembleConfig(
-            model=self.model(),
-            side=self.n,
-            L=self.boxsize,
-            dim=self.dim,
-            rs=self.rs,
-            n_realizations=self.n_realizations,
-            thresholds=self.thresholds,
-            master_seed=self.master_seed,
-            sigma_mode=self.sigma_mode,
-        )
+        return self.config
+
+
+#: manifest keys that a config file spells differently
+FILE_SPELLING = {"side": "n", "L": "boxsize"}
 
 
 def parse_run_config(path: str | Path) -> RunConfig:
     """Parse a `key = value` config file; '#' starts a comment.
 
-    A `fwhm` key may be given instead of `rs` (fwhm = sqrt(8 ln 2) rs).
+    The keys are the manifest keys of `EnsembleConfig.to_manifest`, with the
+    grid side spelled `n` and the box size `boxsize`, plus the `RunConfig`
+    fields; a key left out takes its field default.  A `fwhm` key may be
+    given instead of `rs` (fwhm = sqrt(8 ln 2) rs).
     """
-    known = {f.name: f for f in fields(RunConfig)}
+    types = {**ens.manifest_types(), **get_type_hints(RunConfig)}
+    del types["config"]
+    names = {FILE_SPELLING.get(name, name): name for name in types}
+    names["fwhm"] = "rs"
     values: dict[str, object] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,38 +78,35 @@ def parse_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "fwhm":
-            values["rs"] = float(value) / FWHM_PER_RS
-            continue
-        if key not in known:
+        if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, value)
+        name = names[key]
+        try:
+            parsed = _parse_value(types[name], value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        values[name] = parsed / FWHM_PER_RS if key == "fwhm" else parsed
+    run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
     try:
-        return RunConfig(**values)
-    except TypeError as exc:
+        return RunConfig(config=ens.config_from_manifest(values), **run)
+    except DomainError as exc:  # PowerSpectrumModel checks its own fields
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_value(key: str, value: str):
-    if key in ("n", "dim", "n_realizations", "master_seed", "workers", "verbosity"):
-        return int(value)
-    if key in ("amplitude", "alpha", "boxsize", "rs"):
-        return float(value)
-    if key in ("k_low_cutoff", "k_high_cutoff"):
-        return None if value.lower() in ("", "none") else float(value)
-    if key == "thresholds":
-        parts = value.replace(",", " ").split()
-        if not parts:
-            raise ConfigError("thresholds must list at least one value")
-        return tuple(float(p) for p in parts)
-    if key == "sigma_mode":
-        if value == "sample":
-            return "sample"
-        return float(value)
-    if key == "output_dir":
-        return value
-    raise ConfigError(f"unknown key {key!r}")
+def _parse_value(tp, text: str):
+    """Parse one config value by the annotated type of the field it sets."""
+    if tp in (int, float, str):
+        return tp(text)
+    if tp == float | None:
+        return None if text.lower() in ("", "none") else float(text)
+    if tp == tuple[float, ...]:
+        values = tuple(float(p) for p in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("expected at least one value")
+        return values
+    if tp == str | float:  # "sample" or a number: EnsembleConfig parses it
+        return text
+    raise TypeError(f"no config-file parser for type {tp}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +162,8 @@ def _csv_quote(value: str) -> str:
     return value
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    sigma_mode = ens.parse_sigma_mode(args.sigma_mode)
     field = load_field(args.field)
     rows = []
     if args.mask:
@@ -196,13 +171,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(_sweep_row(ExcursionMask(bits=bits, nu=math.nan, sigma_used=math.nan)))
     else:
         for nu in _sweep_thresholds(args.nu_min, args.nu_max, args.nu_step):
-            rows.append(_sweep_row(excursion_mask(field, float(nu), args.sigma_mode)))
+            rows.append(_sweep_row(excursion_mask(field, float(nu), sigma_mode)))
     cols = ["nu", "b0", "b1", "b2", "chi", "bsum", "jmax", "m_spectrum"]
     lines = [",".join(cols)]
     for row in rows:
         lines.append(
             ",".join(
-                _csv_quote(v if isinstance(v, str) else _fmt(v))
+                _csv_quote(v if isinstance(v, str) else ens._fmt(v))
                 for v in (row[c] for c in cols)
             )
         )
@@ -212,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     run_cfg = parse_run_config(args.config)
-    config = run_cfg.ensemble_config()
+    config = run_cfg.config
     outdir = Path(args.output_dir or run_cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     workers = args.workers or run_cfg.workers
@@ -244,7 +219,7 @@ def _write_duality_csv(rows, path: Path, manifest_hash: str) -> None:
     lines = [f"# manifest_hash={manifest_hash}",
              "nu,mean_b0,mean_bg_mirror,diff,se_combined,systematic,z,ok,flag"]
     for r in rows:
-        lines.append(",".join(_fmt(v) for v in [
+        lines.append(",".join(ens._fmt(v) for v in [
             r.nu, r.mean_b0, r.mean_bg_mirror, r.diff, r.se_combined,
             r.systematic, r.z, int(r.ok), r.flag,
         ]))
@@ -333,10 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            args.sigma_mode = (
-                "sample" if args.sigma_mode == "sample" else float(args.sigma_mode)
-            )
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

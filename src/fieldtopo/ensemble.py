@@ -16,9 +16,9 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 from scipy import special, stats as scipy_stats
@@ -52,25 +52,41 @@ DUALITY_SYSTEMATIC = 0.02
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    model: PowerSpectrumModel
-    side: int
-    L: float
-    dim: int
-    rs: float
-    n_realizations: int
-    thresholds: tuple[float, ...]
-    master_seed: int
+    """The run parameters of an ensemble; their field names are the manifest keys.
+
+    The defaults are those of a config file that leaves a key out.
+    """
+
+    model: PowerSpectrumModel = PowerSpectrumModel()
+    side: int = 256
+    L: float = 256.0
+    dim: int = 2
+    rs: float = 0.0
+    n_realizations: int = 2
+    thresholds: tuple[float, ...] = (0.0,)
+    master_seed: int = 0
     sigma_mode: str | float = "sample"
 
     def __post_init__(self) -> None:
+        if self.dim not in (2, 3):
+            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
+        if self.side < 32 or self.side & (self.side - 1) != 0:
+            raise ConfigError(f"grid side must be a power of two >= 32, got {self.side}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ConfigError(f"box size L must be finite and > 0, got {self.L}")
+        if not (math.isfinite(self.rs) and self.rs >= 0):
+            raise ConfigError(f"rs must be finite and >= 0, got {self.rs}")
+        object.__setattr__(self, "sigma_mode", parse_sigma_mode(self.sigma_mode))
         if self.n_realizations < 2:
             raise ConfigError("an ensemble needs at least 2 realizations")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         nus = tuple(float(v) for v in self.thresholds)
+        if not (nus and all(math.isfinite(v) for v in nus)):
+            raise ConfigError("thresholds must list at least one finite value")
         if any(b <= a for a, b in zip(nus, nus[1:])):
             raise ConfigError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds", nus)
-        if self.rs < 0:
-            raise ConfigError("rs must be >= 0")
 
     @property
     def area(self) -> float:
@@ -78,45 +94,47 @@ class EnsembleConfig:
         return self.L**self.dim
 
     def to_manifest(self) -> dict:
-        return {
-            "schema": "fieldtopo-run/1",
-            "amplitude": self.model.amplitude,
-            "alpha": self.model.alpha,
-            "k_low_cutoff": self.model.k_low_cutoff,
-            "k_high_cutoff": self.model.k_high_cutoff,
-            "side": self.side,
-            "L": self.L,
-            "dim": self.dim,
-            "rs": self.rs,
-            "n_realizations": self.n_realizations,
-            "thresholds": list(self.thresholds),
-            "master_seed": self.master_seed,
-            "sigma_mode": self.sigma_mode,
-        }
+        """Every run parameter under its field name, the model's fields flattened in."""
+        manifest = {"schema": "fieldtopo-run/1"}
+        for owner in (self.model, self):
+            manifest.update(
+                (f.name, getattr(owner, f.name)) for f in fields(owner) if f.name != "model"
+            )
+        return manifest
 
     def manifest_hash(self) -> str:
         payload = json.dumps(self.to_manifest(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def parse_sigma_mode(value: str | float) -> str | float:
+    """Check a sigma_mode: ``"sample"``, or a finite sigma0 > 0 given as a number or text."""
+    if value == "sample":
+        return value
+    try:
+        sigma = float(value)
+    except (TypeError, ValueError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma_mode must be 'sample' or a finite number > 0, got {value!r}")
+    return sigma
+
+
+def manifest_types() -> dict[str, object]:
+    """The annotated type of every run parameter, by manifest key."""
+    types = {**get_type_hints(PowerSpectrumModel), **get_type_hints(EnsembleConfig)}
+    del types["model"]
+    return types
+
+
 def config_from_manifest(manifest: dict) -> EnsembleConfig:
-    model = PowerSpectrumModel(
-        amplitude=manifest["amplitude"],
-        alpha=manifest["alpha"],
-        k_low_cutoff=manifest["k_low_cutoff"],
-        k_high_cutoff=manifest["k_high_cutoff"],
-    )
-    return EnsembleConfig(
-        model=model,
-        side=manifest["side"],
-        L=manifest["L"],
-        dim=manifest["dim"],
-        rs=manifest["rs"],
-        n_realizations=manifest["n_realizations"],
-        thresholds=tuple(manifest["thresholds"]),
-        master_seed=manifest["master_seed"],
-        sigma_mode=manifest["sigma_mode"],
-    )
+    """Inverse of `EnsembleConfig.to_manifest`; an absent key takes its field default."""
+
+    def given(cls) -> dict:
+        return {f.name: manifest[f.name] for f in fields(cls) if f.name in manifest}
+
+    model = PowerSpectrumModel(**given(PowerSpectrumModel))
+    return EnsembleConfig(**{**given(EnsembleConfig), "model": model})
 
 
 @dataclass
@@ -158,7 +176,6 @@ class EnsembleResult:
     mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1)
     sigma0s: np.ndarray
     sigma1s: np.ndarray
-    sigma_used: np.ndarray
 
     @property
     def area(self) -> float:
@@ -208,10 +225,9 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
     n_nu = len(config.thresholds)
     table = np.zeros((n_nu, 8), dtype=np.int64)  # b0 b1 b2 chi bsum jmax chi_cell bg
     mj: list[dict[int, int]] = []
-    sigma_used = math.nan
+    sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
     for t, nu in enumerate(config.thresholds):
-        mask = excursion_mask(field, nu, config.sigma_mode)
-        sigma_used = mask.sigma_used
+        mask = excursion_mask(field, nu, sigma)
         if config.dim == 2:
             hs = hole_spectrum(mask)
             st = topo_stats_from_spectrum(hs)
@@ -228,7 +244,6 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
         "index": index,
         "sigma0": moments.sigma0,
         "sigma1": moments.sigma1,
-        "sigma_used": sigma_used,
         "table": table,
         "mj": mj,
     }
@@ -315,7 +330,6 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
         mj_tables=mj_tables,
         sigma0s=np.array([r["sigma0"] for r in rows]),
         sigma1s=np.array([r["sigma1"] for r in rows]),
-        sigma_used=np.array([r["sigma_used"] for r in rows]),
     )
 
 

@@ -198,9 +198,14 @@ def load_field(path: str | Path) -> FieldGrid:
     sidecar_path = path.with_name(path.name + ".json")
     if sidecar_path.exists():
         with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-        L = float(sidecar.get("L", L))
-        rs_applied = float(sidecar.get("rs_applied", 0.0))
+            try:
+                sidecar = json.load(fh)
+                if not isinstance(sidecar, dict):
+                    raise ValueError("not a JSON object")
+                L = float(sidecar.get("L", L))
+                rs_applied = float(sidecar.get("rs_applied", 0.0))
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
         seed = sidecar.get("seed", -1)
         if isinstance(seed, list):
             seed = tuple(seed)

@@ -36,7 +36,7 @@ class PowerSpectrumModel:
     types scale differently with box size and smoothing length.
     """
 
-    amplitude: float
+    amplitude: float = 1.0
     alpha: float = 0.0
     k_low_cutoff: float | None = None
     k_high_cutoff: float | None = None
@@ -192,13 +192,7 @@ def correlation_length(
     grid Nyquist frequency pi * N / L), or the smoothing window, whichever
     bites first.
     """
-    kmin = 0.0 if math.isinf(L) else 2.0 * math.pi / L
-    hi = math.inf if kmax is None else kmax
-    s0 = spectral_moment(model, 0, rs, kmin, hi, dim)
-    s1 = spectral_moment(model, 1, rs, kmin, hi, dim)
-    if s1 == 0.0:
-        raise DegenerateFieldError("sigma_1^2 = 0: field has no gradient scale")
-    return math.sqrt(s0 / s1)
+    return spectral_params(model, rs, L, dim, kmax).r_c
 
 
 def packing_fraction(r_c: float, L: float, dim: int) -> float:

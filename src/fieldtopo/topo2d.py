@@ -161,7 +161,8 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
         hole_first = first_idx[is_hole[labels_seen]]
         owner_idx = hole_first - ncols  # pixel directly above, row-major
         owners = fg_labels.ravel()[owner_idx]
-        assert owners.all(), "pixel above a hole's topmost pixel must be foreground"
+        if not owners.all():
+            raise DomainError("pixel above a hole's topmost pixel must be foreground")
         holes_per_component += np.bincount(owners, minlength=n_fg + 1)
 
     per_component = holes_per_component[1:]

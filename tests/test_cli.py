@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fieldtopo.cli import main, parse_run_config
+from fieldtopo.cli import RunConfig, main, parse_run_config
+from fieldtopo.ensemble import EnsembleConfig, manifest_types
 from fieldtopo.errors import ConfigError
 from fieldtopo.grf import FieldGrid, save_field
+from fieldtopo.spectrum import PowerSpectrumModel
 
 
 def run_cli(*argv) -> int:
@@ -111,6 +114,20 @@ class TestSweep:
         code = run_cli("sweep", "--field", str(bad), "--out", str(tmp_path / "x.csv"))
         assert code == 3
 
+    def test_bad_sigma_mode_exits_2(self, tmp_path):
+        out = tmp_path / "f.bin"
+        run_cli("gen", "--n", "32", "--boxsize", "32", "--out", str(out))
+        code = run_cli("sweep", "--field", str(out), "--sigma-mode", "abc",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+
+    def test_malformed_sidecar_exits_3(self, tmp_path):
+        out = tmp_path / "f.bin"
+        run_cli("gen", "--n", "32", "--boxsize", "32", "--out", str(out))
+        out.with_name(out.name + ".json").write_text("{not json")
+        code = run_cli("sweep", "--field", str(out), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+
     def test_bad_range_exits_2(self, tmp_path):
         out = tmp_path / "f.bin"
         run_cli("gen", "--n", "32", "--boxsize", "32", "--out", str(out))
@@ -189,12 +206,23 @@ class TestEnsembleCommand:
 
     def test_partial_marker_on_failure(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        # side not a power of two: generation fails after outdir creation
-        cfg.write_text("n = 33\nn_realizations = 2\nthresholds = 0\n")
+        # a flat field cannot be thresholded: the run fails after outdir creation
+        cfg.write_text("amplitude = 0\nn = 32\nboxsize = 32\nthresholds = 0\n")
         outdir = tmp_path / "o"
         code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
-        assert code != 0
+        assert code == 4
         assert (outdir / "PARTIAL_OUTPUT").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc"]
+    )
+    def test_invalid_value_exits_2_before_output(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nthresholds = 0\n")
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+        assert code == 2
+        assert not outdir.exists()
 
 
 class TestStatesCommand:
@@ -224,19 +252,93 @@ class TestStatesCommand:
         assert run_cli("states", "--b0", "45", "--b1", "45") == 4
 
 
+#: every key a config file accepts
+CONFIG_KEYS = (
+    ["n", "boxsize", "fwhm"]
+    + [k for k in manifest_types() if k not in ("side", "L")]
+    + ["output_dir", "workers", "verbosity"]
+)
+
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(-5, 5).map(repr), max_size=4).map(" ".join),
+    st.sampled_from(["none", "sample", "-1", "0", "nan", "inf"]),
+)
+
+
 class TestRunConfigParsing:
     def test_fwhm_alias(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("fwhm = 4.0\nthresholds = 0\n")
         parsed = parse_run_config(cfg)
-        assert parsed.rs == pytest.approx(4.0 / math.sqrt(8 * math.log(2)))
+        assert parsed.config.rs == pytest.approx(4.0 / math.sqrt(8 * math.log(2)))
 
     def test_comments_and_whitespace(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# full line comment\n\nn = 64  # trailing comment\n"
                        "thresholds = -1 0 1\n")
         parsed = parse_run_config(cfg)
-        assert parsed.n == 64 and parsed.thresholds == (-1.0, 0.0, 1.0)
+        assert parsed.config.side == 64
+        assert parsed.config.thresholds == (-1.0, 0.0, 1.0)
+
+    def test_every_key(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "amplitude = 2\nalpha = -1\nk_low_cutoff = 0.1\nk_high_cutoff = none\n"
+            "n = 64\nboxsize = 100\ndim = 3\nrs = 1.5\nn_realizations = 5\n"
+            "thresholds = -1, 1\nmaster_seed = 9\nsigma_mode = 0.5\n"
+            "output_dir = out\nworkers = 2\nverbosity = 0\n"
+        )
+        model = PowerSpectrumModel(amplitude=2.0, alpha=-1.0, k_low_cutoff=0.1)
+        assert parse_run_config(cfg) == RunConfig(
+            config=EnsembleConfig(
+                model=model, side=64, L=100.0, dim=3, rs=1.5, n_realizations=5,
+                thresholds=(-1.0, 1.0), master_seed=9, sigma_mode=0.5,
+            ),
+            output_dir="out", workers=2, verbosity=0,
+        )
+
+    def test_file_defaults(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# nothing set\n")
+        assert parse_run_config(cfg) == RunConfig(
+            config=EnsembleConfig(
+                model=PowerSpectrumModel(amplitude=1.0), side=256, L=256.0, dim=2,
+                rs=0.0, n_realizations=2, thresholds=(0.0,), master_seed=0,
+                sigma_mode="sample",
+            ),
+            output_dir=".", workers=1, verbosity=1,
+        )
+
+    @pytest.mark.parametrize("key", ["side", "L", "model", "schema", "config"])
+    def test_non_file_keys_rejected(self, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 64\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_run_config(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES).map(
+                    lambda kv: f"{kv[0]} = {kv[1]}"
+                ),
+                st.text(max_size=20),
+            ),
+            max_size=6,
+        )
+    )
+    def test_any_text_parses_or_raises_config_error(self, tmp_path_factory, lines):
+        cfg = tmp_path_factory.mktemp("fuzz") / "c.cfg"
+        cfg.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        try:
+            parsed = parse_run_config(cfg)
+        except ConfigError:
+            return
+        assert isinstance(parsed, RunConfig)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "c.cfg"

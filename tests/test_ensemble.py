@@ -4,6 +4,7 @@ Monte-Carlo-heavy checks at the reference scale live in test_acceptance; the
 ensembles here are kept small.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,37 @@ class TestConfig:
     def test_thresholds_must_increase(self):
         with pytest.raises(ConfigError):
             quick_config(thresholds=(0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"dim": 4},
+            {"side": 33},
+            {"side": 16, "L": 16.0},
+            {"L": 0.0},
+            {"L": math.inf},
+            {"rs": math.nan},
+            {"sigma_mode": -1.0},
+            {"sigma_mode": math.nan},
+            {"sigma_mode": "abc"},
+            {"master_seed": -1},
+            {"thresholds": (math.nan,)},
+            {"thresholds": ()},
+        ],
+    )
+    def test_rejects_invalid_parameters(self, override):
+        with pytest.raises(ConfigError):
+            quick_config(**override)
+
+    def test_sigma_mode_text_is_parsed(self):
+        assert quick_config(sigma_mode="0.25").sigma_mode == 0.25
+        assert quick_config(sigma_mode="sample").sigma_mode == "sample"
+
+    def test_manifest_names_every_field(self):
+        manifest = quick_config().to_manifest()
+        names = [f.name for f in dataclasses.fields(PowerSpectrumModel)]
+        names += [f.name for f in dataclasses.fields(EnsembleConfig) if f.name != "model"]
+        assert set(manifest) == {"schema", *names}
 
     def test_manifest_roundtrip(self):
         cfg = quick_config()
