@@ -26,8 +26,7 @@ from .errors import (
 )
 from .grf import generate, load_field, sample_moments, save_field, smooth
 from .spectrum import PowerSpectrumModel
-from .topo2d import ExcursionMask, excursion_mask, hole_spectrum, topo_stats_from_spectrum
-from .topo3d import betti3d
+from .topo2d import ExcursionMask, excursion_mask
 
 FWHM_PER_RS = math.sqrt(8.0 * math.log(2.0))
 
@@ -140,19 +139,11 @@ def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarra
 
 
 def _sweep_row(mask: ExcursionMask) -> dict:
-    if mask.dim == 2:
-        hs = hole_spectrum(mask)
-        st = topo_stats_from_spectrum(hs)
-        spectrum = {str(j): m for j, m in sorted(hs.counts.items())}
-        jmax = hs.jmax
-    else:
-        st = betti3d(mask)
-        spectrum = {}
-        jmax = 0
+    st, counts = ens.measure_mask(mask)
     return {
         "nu": mask.nu, "b0": st.b0, "b1": st.b1, "b2": st.b2,
-        "chi": st.chi, "bsum": st.bsum, "jmax": jmax,
-        "m_spectrum": json.dumps(spectrum, sort_keys=True),
+        "chi": st.chi, "bsum": st.bsum, "jmax": max(counts, default=0),
+        "m_spectrum": json.dumps({str(j): m for j, m in counts.items()}, sort_keys=True),
     }
 
 

@@ -27,7 +27,9 @@ from .errors import ConfigError, DomainError
 from .grf import generate, sample_moments, smooth
 from .spectrum import PowerSpectrumModel
 from .topo2d import (
+    ExcursionMask,
     HoleSpectrum,
+    TopoStats,
     euler_closed_cell,
     excursion_mask,
     hole_spectrum,
@@ -36,6 +38,11 @@ from .topo2d import (
 from .topo3d import betti3d
 
 STAT_NAMES = ("b0", "b1", "b2", "chi", "bsum")
+
+#: columns of the per-realization table, one row per threshold: the Betti
+#: statistics, the largest j with m_j > 0, the closed-cell chi and the
+#: background component count
+TABLE_COLUMNS = (*STAT_NAMES, "jmax", "chi_cell", "bg")
 
 #: cap on the trials parameter when the moment inversion degenerates
 N_TRIALS_CAP = 1.0e9
@@ -214,6 +221,18 @@ class EnsembleResult:
 # the pipeline
 
 
+def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, dict[int, int]]:
+    """Topological statistics of one mask and its hole spectrum {j: m_j}.
+
+    A 3D mask goes to `betti3d` and has an empty spectrum; a 2D mask goes
+    to `hole_spectrum`.
+    """
+    if mask.dim == 3:
+        return betti3d(mask), {}
+    hs = hole_spectrum(mask)
+    return topo_stats_from_spectrum(hs), hs.counts
+
+
 def _realize(config: EnsembleConfig, index: int) -> dict:
     """Run one realization through the full topology chain."""
     field = generate(
@@ -222,24 +241,17 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
     field = smooth(field, config.rs)
     moments = sample_moments(field)
 
-    n_nu = len(config.thresholds)
-    table = np.zeros((n_nu, 8), dtype=np.int64)  # b0 b1 b2 chi bsum jmax chi_cell bg
+    table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
     mj: list[dict[int, int]] = []
     sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
     for t, nu in enumerate(config.thresholds):
         mask = excursion_mask(field, nu, sigma)
-        if config.dim == 2:
-            hs = hole_spectrum(mask)
-            st = topo_stats_from_spectrum(hs)
-            chi_cell = euler_closed_cell(mask)
-            mj.append(hs.counts)
-            jmax = hs.jmax
-        else:
-            st = betti3d(mask)
-            chi_cell = st.chi
-            mj.append({})
-            jmax = 0
-        table[t] = (st.b0, st.b1, st.b2, st.chi, st.bsum, jmax, chi_cell, st.n_background)
+        st, counts = measure_mask(mask)
+        # betti3d's chi is the closed-cell count; a 2D chi gets it as an independent check
+        chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
+        row = {"jmax": max(counts, default=0), "chi_cell": chi_cell, "bg": st.n_background}
+        table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
+        mj.append(counts)
     return {
         "index": index,
         "sigma0": moments.sigma0,
@@ -258,29 +270,15 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
     rows = sorted(rows, key=lambda r: r["index"])
     n = len(rows)
     n_nu = len(config.thresholds)
-    cube = np.stack([r["table"] for r in rows])  # (n, n_nu, 8)
-
-    stats = {
-        "b0": cube[:, :, 0],
-        "b1": cube[:, :, 1],
-        "b2": cube[:, :, 2],
-        "chi": cube[:, :, 3],
-        "bsum": cube[:, :, 4],
-        "jmax": cube[:, :, 5],
-        "chi_cell": cube[:, :, 6],
-        "bg": cube[:, :, 7],
-    }
+    cube = np.stack([r["table"] for r in rows])  # (n, n_nu, len(TABLE_COLUMNS))
+    stats = {name: cube[:, :, c] for c, name in enumerate(TABLE_COLUMNS)}
 
     mj_tables = []
     for t in range(n_nu):
-        jmax = 0
-        for r in rows:
-            if r["mj"][t]:
-                jmax = max(jmax, max(r["mj"][t]))
-        table = np.zeros((n, jmax + 1), dtype=np.int64)
+        table = np.zeros((n, stats["jmax"][:, t].max() + 1), dtype=np.int64)
         for i, r in enumerate(rows):
-            for j, m in r["mj"][t].items():
-                table[i, j] = m
+            counts = r["mj"][t]
+            table[i, list(counts)] = list(counts.values())
         mj_tables.append(table)
 
     summaries = []

@@ -192,6 +192,9 @@ def load_field(path: str | Path) -> FieldGrid:
         raise FormatError(
             f"{path}: expected {side**dim} samples, found {data.size}"
         )
+    n_bad = data.size - np.count_nonzero(np.isfinite(data))
+    if n_bad:
+        raise FormatError(f"{path}: {n_bad} non-finite samples")
     values = data.reshape((side,) * dim).copy()
 
     L, rs_applied, seed = float(side), 0.0, -1

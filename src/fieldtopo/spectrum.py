@@ -16,7 +16,7 @@ number of r_c-sized structures fitting into a box of side L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
@@ -42,6 +42,10 @@ class PowerSpectrumModel:
     k_high_cutoff: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is not None and not math.isfinite(val):
+                raise DomainError(f"{f.name} must be finite, got {val}")
         if self.amplitude < 0:
             raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
         for name in ("k_low_cutoff", "k_high_cutoff"):

@@ -118,10 +118,25 @@ def excursion_mask(field: FieldGrid, nu: float, sigma_mode="sample") -> Excursio
         sigma = float(field.values.std())
     else:
         sigma = float(sigma_mode)
-    if sigma <= 0.0:
-        raise DegenerateFieldError(f"sigma0 = {sigma}: cannot threshold a flat field")
+    if not sigma > 0.0:
+        raise DegenerateFieldError(f"sigma0 = {sigma}: cannot threshold a flat or NaN field")
     bits = field.values >= nu * sigma
     return ExcursionMask(bits=bits, nu=float(nu), sigma_used=sigma)
+
+
+def enclosed_background(bits: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Background labels, their count, and which labels no face of the frame touches.
+
+    The background is labeled with 4-connectivity (6 in 3D).  ``enclosed``
+    has one entry per label, 0 included; it is True for the holes (cavities
+    in 3D) and False for label 0 and for every exterior piece.
+    """
+    labels, n = ndimage.label(~bits)  # default structure = 4/6-connectivity
+    enclosed = np.ones(n + 1, dtype=bool)
+    enclosed[0] = False
+    for axis in range(bits.ndim):
+        enclosed[np.take(labels, [0, -1], axis=axis)] = False
+    return labels, n, enclosed
 
 
 def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
@@ -143,33 +158,20 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     if n_fg == 0:
         return HoleSpectrum(nu=mask.nu, counts={}, n_background=1)
 
-    bg_labels, n_bg = ndimage.label(~bits)  # default structure = 4-connectivity
-    exterior = np.unique(
-        np.concatenate(
-            [bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]]
-        )
-    )
-    is_hole = np.ones(n_bg + 1, dtype=bool)
-    is_hole[0] = False
-    is_hole[exterior] = False
-
+    bg_labels, n_bg, is_hole = enclosed_background(bits)
     holes_per_component = np.zeros(n_fg + 1, dtype=np.int64)
     if is_hole.any():
         ncols = bits.shape[1]
-        flat_bg = bg_labels.ravel()
-        labels_seen, first_idx = np.unique(flat_bg, return_index=True)
+        labels_seen, first_idx = np.unique(bg_labels.ravel(), return_index=True)
         hole_first = first_idx[is_hole[labels_seen]]
         owner_idx = hole_first - ncols  # pixel directly above, row-major
         owners = fg_labels.ravel()[owner_idx]
         if not owners.all():
             raise DomainError("pixel above a hole's topmost pixel must be foreground")
-        holes_per_component += np.bincount(owners, minlength=n_fg + 1)
+        holes_per_component = np.bincount(owners, minlength=n_fg + 1)
 
-    per_component = holes_per_component[1:]
-    js, ms = np.unique(per_component, return_counts=True)
-    return HoleSpectrum(
-        nu=mask.nu, counts={int(j): int(m) for j, m in zip(js, ms)}, n_background=int(n_bg)
-    )
+    m = np.bincount(holes_per_component[1:])
+    return HoleSpectrum(nu=mask.nu, counts=dict(enumerate(m.tolist())), n_background=n_bg)
 
 
 def topo_stats_from_spectrum(hs: HoleSpectrum) -> TopoStats:
@@ -185,57 +187,24 @@ def euler_closed_cell(mask: ExcursionMask) -> int:
     """Euler characteristic of the union of closed unit pixels/voxels.
 
     Counts distinct vertices, edges and faces (and cubes in 3D) of the cell
-    complex: chi = V - E + F (- C).  This is an independent cross-check of
-    the labeling route; under the closed-cell convention it equals b0 - b1
-    (+ b2) exactly.
+    complex: chi = V - E + F (- C).  Along each axis a cell either spans a
+    pixel (the interior slice of the padded mask) or lies on a grid line
+    (present if either pixel beside it is); a cell spanning k axes enters
+    with sign (-1)^k.  This is an independent cross-check of the labeling
+    route; under the closed-cell convention it equals b0 - b1 (+ b2) exactly.
     """
-    bits = mask.bits
-    if mask.dim == 2:
-        n0, n1 = bits.shape
-        padded = np.zeros((n0 + 2, n1 + 2), dtype=bool)
-        padded[1:-1, 1:-1] = bits
-        faces = int(bits.sum())
-        vertices = int(
-            (
-                padded[:-1, :-1] | padded[:-1, 1:] | padded[1:, :-1] | padded[1:, 1:]
-            ).sum()
-        )
-        edges_h = int((padded[:-1, 1:-1] | padded[1:, 1:-1]).sum())
-        edges_v = int((padded[1:-1, :-1] | padded[1:-1, 1:]).sum())
-        return vertices - (edges_h + edges_v) + faces
-
-    p = np.zeros(tuple(s + 2 for s in bits.shape), dtype=bool)
-    p[1:-1, 1:-1, 1:-1] = bits
-    cubes = int(bits.sum())
-    vertices = int(
-        (
-            p[:-1, :-1, :-1] | p[:-1, :-1, 1:] | p[:-1, 1:, :-1] | p[:-1, 1:, 1:]
-            | p[1:, :-1, :-1] | p[1:, :-1, 1:] | p[1:, 1:, :-1] | p[1:, 1:, 1:]
-        ).sum()
-    )
-    # edges along axis a: OR over the 4 voxels sharing the edge
-    edges = 0
-    edges += int(
-        (
-            p[1:-1, :-1, :-1] | p[1:-1, :-1, 1:] | p[1:-1, 1:, :-1] | p[1:-1, 1:, 1:]
-        ).sum()
-    )
-    edges += int(
-        (
-            p[:-1, 1:-1, :-1] | p[:-1, 1:-1, 1:] | p[1:, 1:-1, :-1] | p[1:, 1:-1, 1:]
-        ).sum()
-    )
-    edges += int(
-        (
-            p[:-1, :-1, 1:-1] | p[:-1, 1:, 1:-1] | p[1:, :-1, 1:-1] | p[1:, 1:, 1:-1]
-        ).sum()
-    )
-    # faces normal to axis a: OR over the 2 voxels sharing the face
-    faces = 0
-    faces += int((p[:-1, 1:-1, 1:-1] | p[1:, 1:-1, 1:-1]).sum())
-    faces += int((p[1:-1, :-1, 1:-1] | p[1:-1, 1:, 1:-1]).sum())
-    faces += int((p[1:-1, 1:-1, :-1] | p[1:-1, 1:-1, 1:]).sum())
-    return vertices - edges + faces - cubes
+    cells = [(np.pad(mask.bits, 1), 1)]
+    for axis in range(mask.dim):
+        before = (slice(None),) * axis
+        cells = [
+            cell
+            for grid, sign in cells
+            for cell in (
+                (grid[before + (slice(1, -1),)], -sign),
+                (grid[before + (slice(None, -1),)] | grid[before + (slice(1, None),)], sign),
+            )
+        ]
+    return int(sum(sign * np.count_nonzero(grid) for grid, sign in cells))
 
 
 def generating_function(hs: HoleSpectrum, alpha: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError
-from .topo2d import ExcursionMask, TopoStats, euler_closed_cell
+from .topo2d import ExcursionMask, TopoStats, enclosed_background, euler_closed_cell
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=int)
 
@@ -30,22 +30,8 @@ def betti3d(mask: ExcursionMask) -> TopoStats:
         raise DomainError("betti3d is defined for 3D masks")
     bits = mask.bits
     _, b0 = ndimage.label(bits, structure=_STRUCT_26)
-    bg_labels, n_bg = ndimage.label(~bits)  # default structure = 6-connectivity
-    border = np.concatenate(
-        [
-            bg_labels[0, :, :].ravel(),
-            bg_labels[-1, :, :].ravel(),
-            bg_labels[:, 0, :].ravel(),
-            bg_labels[:, -1, :].ravel(),
-            bg_labels[:, :, 0].ravel(),
-            bg_labels[:, :, -1].ravel(),
-        ]
-    )
-    exterior = np.unique(border)
-    is_cavity = np.ones(n_bg + 1, dtype=bool)
-    is_cavity[0] = False
-    is_cavity[exterior] = False
-    b2 = int(is_cavity.sum())
+    _, n_bg, is_cavity = enclosed_background(bits)
+    b2 = int(np.count_nonzero(is_cavity))
 
     chi = euler_closed_cell(mask)
     b1 = b0 + b2 - chi
@@ -55,6 +41,5 @@ def betti3d(mask: ExcursionMask) -> TopoStats:
             "connectivity conventions are inconsistent"
         )
     return TopoStats(
-        b0=int(b0), b1=int(b1), b2=b2, chi=int(chi), bsum=int(b0 + b1 + b2), nu=mask.nu,
-        n_background=int(n_bg),
+        b0=b0, b1=b1, b2=b2, chi=chi, bsum=b0 + b1 + b2, nu=mask.nu, n_background=n_bg
     )

@@ -95,6 +95,32 @@ class TestSweep:
             spectrum = json.loads(row["m_spectrum"])
             assert sum(spectrum.values()) == int(row["b0"])
 
+    def test_3d_field_alternating_sum(self, tmp_path):
+        out = tmp_path / "f3.bin"
+        assert run_cli("gen", "--n", "32", "--boxsize", "32", "--rs", "2", "--seed", "5",
+                       "--dim", "3", "--out", str(out)) == 0
+        csv = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--field", str(out), "--nu-min", "-2",
+                       "--nu-max", "2", "--nu-step", "0.5", "--out", str(csv)) == 0
+        rows = read_rows(csv)
+        assert len(rows) == 9
+        for row in rows:
+            b0, b1, b2 = (int(row[k]) for k in ("b0", "b1", "b2"))
+            assert int(row["chi"]) == b0 - b1 + b2
+            assert int(row["bsum"]) == b0 + b1 + b2
+            assert row["m_spectrum"] == "{}" and row["jmax"] == "0"
+        assert any(int(r["b2"]) > 0 for r in rows) and any(int(r["b1"]) > 0 for r in rows)
+
+    def test_nan_pixel_exits_3(self, tmp_path):
+        values = np.zeros((32, 32))
+        values[4, 4] = math.nan
+        save_field(FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0),
+                   tmp_path / "nan.bin")
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--field", str(tmp_path / "nan.bin"), "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+
     def test_mask_input_mode_annulus(self, tmp_path):
         bits = np.zeros((5, 5))
         bits[1:4, 1:4] = 1.0
@@ -214,7 +240,8 @@ class TestEnsembleCommand:
         assert (outdir / "PARTIAL_OUTPUT").exists()
 
     @pytest.mark.parametrize(
-        "line", ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc"]
+        "line",
+        ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc", "amplitude = nan"],
     )
     def test_invalid_value_exits_2_before_output(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"

@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from fieldtopo import (
     EnsembleConfig,
+    ExcursionMask,
     PowerSpectrumModel,
     ThresholdSummary,
     analytic_chi_amplitude,
@@ -27,7 +28,7 @@ from fieldtopo import (
     pdf_compare,
     run_ensemble,
 )
-from fieldtopo.ensemble import N_TRIALS_CAP, config_from_manifest
+from fieldtopo.ensemble import N_TRIALS_CAP, TABLE_COLUMNS, config_from_manifest, measure_mask
 from fieldtopo.errors import ConfigError, DomainError
 
 FLAT = PowerSpectrumModel(1.0)
@@ -52,6 +53,25 @@ def quick_config(**overrides):
 @pytest.fixture(scope="module")
 def quick_result():
     return run_ensemble(quick_config(), workers=1)
+
+
+class TestMeasureMask:
+    def test_2d_mask_gives_its_hole_spectrum(self):
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[1:6, 1:6] = True
+        bits[2, 2] = bits[4, 4] = False
+        bits[7, 7] = True
+        st, counts = measure_mask(ExcursionMask(bits=bits, nu=0.5, sigma_used=1.0))
+        assert counts == {0: 1, 2: 1}
+        assert (st.b0, st.b1, st.b2, st.chi, st.nu) == (2, 2, 0, 0, 0.5)
+
+    def test_3d_mask_has_empty_spectrum(self):
+        bits = np.zeros((5, 5, 5), dtype=bool)
+        bits[1:4, 1:4, 1:4] = True
+        bits[2, 2, 2] = False
+        st, counts = measure_mask(ExcursionMask(bits=bits, nu=0.0, sigma_used=1.0))
+        assert counts == {}
+        assert (st.b0, st.b1, st.b2, st.chi) == (1, 0, 1, 2)
 
 
 class TestConfig:
@@ -140,6 +160,17 @@ class TestRunEnsemble:
             quick_result.stats["bsum"],
             quick_result.stats["b0"] + quick_result.stats["b1"],
         )
+
+    def test_mj_tables_match_table_columns(self, quick_result):
+        assert set(quick_result.stats) == set(TABLE_COLUMNS)
+        for t, table in enumerate(quick_result.mj_tables):
+            jmax = quick_result.stats["jmax"][:, t]
+            assert table.shape == (quick_result.config.n_realizations, jmax.max() + 1)
+            assert np.array_equal(table.sum(axis=1), quick_result.stats["b0"][:, t])
+            j = np.arange(table.shape[1])
+            assert np.array_equal(table @ j, quick_result.stats["b1"][:, t])
+            populated = table > 0
+            assert np.array_equal((populated * j).max(axis=1), jmax)
 
     def test_worker_count_invariance(self):
         cfg = quick_config(n_realizations=8)

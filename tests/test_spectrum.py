@@ -64,6 +64,22 @@ class TestEvalPower:
         with pytest.raises(DomainError):
             PowerSpectrumModel(1.0, 0.0, k_low_cutoff=2.0, k_high_cutoff=1.0)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"amplitude": math.nan},
+            {"amplitude": math.inf},
+            {"alpha": math.nan},
+            {"alpha": -math.inf},
+            {"k_low_cutoff": math.nan},
+            {"k_high_cutoff": math.nan},
+            {"k_high_cutoff": math.inf},
+        ],
+    )
+    def test_non_finite_rejected(self, override):
+        with pytest.raises(DomainError, match="finite"):
+            PowerSpectrumModel(**override)
+
 
 class TestSpectralMoment:
     @pytest.mark.parametrize("dim", [2, 3])

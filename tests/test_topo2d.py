@@ -5,10 +5,13 @@ no holes), an annulus (one hole), a block with two separated holes, and
 nested annuli, with hand-counted cell complexes as independent oracles.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fieldtopo import (
     ExcursionMask,
@@ -25,6 +28,7 @@ from fieldtopo import (
 )
 from fieldtopo.errors import DegenerateFieldError, DomainError
 from fieldtopo.grf import FieldGrid
+from fieldtopo.topo2d import enclosed_background
 
 
 def mask_of(array) -> ExcursionMask:
@@ -63,6 +67,14 @@ class TestExcursionMask:
         f = FieldGrid(dim=2, side=16, L=16.0, values=np.zeros((16, 16)), seed=0)
         with pytest.raises(DegenerateFieldError):
             excursion_mask(f, 1.0)
+
+    def test_nan_field_rejected(self):
+        values = np.zeros((16, 16))
+        values[3, 5] = 1.0
+        values[7, 7] = math.nan
+        f = FieldGrid(dim=2, side=16, L=16.0, values=values, seed=0)
+        with pytest.raises(DegenerateFieldError):
+            excursion_mask(f, 0.0)
 
     def test_monotone_in_threshold(self):
         f = self.field()
@@ -237,6 +249,62 @@ class TestEulerClosedCell:
 
     def test_empty(self):
         assert euler_closed_cell(mask_of(np.zeros((5, 5), dtype=bool))) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=8)))
+    def test_matches_cell_oracle_2d(self, bits):
+        assert euler_closed_cell(mask_of(bits)) == cell_oracle_chi(bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=3, max_dims=3, max_side=5)))
+    def test_matches_cell_oracle_3d(self, bits):
+        assert euler_closed_cell(mask_of(bits)) == cell_oracle_chi(bits)
+
+
+def cell_oracle_chi(bits) -> int:
+    """V - E + F (- C) from explicit sets of the closed cells of every foreground pixel.
+
+    Each cell of the unit pixel (voxel) at x is the product over the axes of
+    {x_a}, {x_a + 1} or the span {x_a, x_a + 1}; it is stored as the tuple of
+    its corners in the set of its dimension, so a cell shared by neighbours
+    is counted once.
+    """
+    cells = [set() for _ in range(bits.ndim + 1)]
+    for x in zip(*np.nonzero(bits)):
+        options = [((int(a),), (int(a) + 1,), (int(a), int(a) + 1)) for a in x]
+        for choice in itertools.product(*options):
+            corners = tuple(itertools.product(*choice))
+            cells[sum(len(c) == 2 for c in choice)].add(corners)
+    return sum((-1) ** k * len(found) for k, found in enumerate(cells))
+
+
+class TestEnclosedBackground:
+    def test_annulus_hole_is_enclosed(self):
+        bits = block((3, 3), canvas=(5, 5))
+        bits[2, 2] = False
+        labels, n, enclosed = enclosed_background(bits)
+        assert n == 2
+        assert enclosed[labels[2, 2]] and not enclosed[labels[0, 0]]
+        assert not enclosed[0]
+
+    def test_every_face_of_the_frame_is_exterior(self):
+        # a background piece touching only one face is exterior, in 2D and 3D
+        for shape in ((6, 7), (5, 6, 7)):
+            bits = np.ones(shape, dtype=bool)
+            for axis in range(len(shape)):
+                for end in (0, -1):
+                    probe = bits.copy()
+                    index = [s // 2 for s in shape]
+                    index[axis] = end
+                    probe[tuple(index)] = False
+                    _, n, enclosed = enclosed_background(probe)
+                    assert n == 1 and not enclosed.any()
+
+    def test_3d_cavity_is_enclosed(self):
+        bits = np.ones((3, 3, 3), dtype=bool)
+        bits[1, 1, 1] = False
+        _, n, enclosed = enclosed_background(bits)
+        assert n == 1 and enclosed.tolist() == [False, True]
 
 
 class TestGeneratingFunction:
