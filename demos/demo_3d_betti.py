@@ -15,7 +15,6 @@ from fieldtopo import (
     betti3d,
     excursion_mask,
     generate,
-    smooth,
 )
 
 
@@ -41,7 +40,7 @@ show("hollow shell", shell)
 show("solid torus", torus)
 
 # --- a random field in 3D --------------------------------------------------
-field = smooth(generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11), 3.0)
+field = generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11, rs=3.0)
 print(f"\n64^3 Gaussian field, rs = 3:")
 print(f"{'nu':>5} {'b0':>6} {'b1':>6} {'b2':>6} {'chi':>7} {'bsum':>7}")
 for nu in (-2.0, -1.0, 0.0, 1.0, 2.0):

@@ -16,7 +16,6 @@ from fieldtopo import (
     generate,
     hole_spectrum,
     sample_moments,
-    smooth,
     spectral_moment,
     topo_stats_from_spectrum,
 )
@@ -24,8 +23,7 @@ from fieldtopo import (
 model = PowerSpectrumModel(amplitude=1.0, alpha=0.0)
 side, box, rs = 256, 256.0, 4.0
 
-field = generate(model, side, box, dim=2, seed=20250801)
-field = smooth(field, rs)
+field = generate(model, side, box, dim=2, seed=20250801, rs=rs)
 
 moments = sample_moments(field)
 predicted_sigma0 = math.sqrt(spectral_moment(model, 0, rs, 0.0, math.inf, 2))

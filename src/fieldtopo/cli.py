@@ -24,7 +24,7 @@ from .errors import (
     FieldtopoError,
     FormatError,
 )
-from .grf import generate, load_field, sample_moments, save_field, smooth
+from .grf import generate, load_field, sample_moments, save_field
 from .spectrum import PowerSpectrumModel
 from .topo2d import ExcursionMask, excursion_mask
 
@@ -119,9 +119,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         k_low_cutoff=args.klow,
         k_high_cutoff=args.khigh,
     )
-    field = generate(model, args.n, args.boxsize, args.dim, seed=args.seed)
-    if args.rs > 0:
-        field = smooth(field, args.rs)
+    field = generate(model, args.n, args.boxsize, args.dim, seed=args.seed, rs=args.rs)
     save_field(field, args.out)
     moments = sample_moments(field)
     print(json.dumps({"mean": moments.mean, "sigma0": moments.sigma0,
@@ -129,12 +127,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+#: most thresholds one `sweep` evaluates
+MAX_SWEEP_THRESHOLDS = 10_000
+
+
 def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarray:
+    for flag, value in [("--nu-min", nu_min), ("--nu-max", nu_max), ("--nu-step", nu_step)]:
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if not nu_min < nu_max:
         raise ConfigError("--nu-min must be < --nu-max")
     if not nu_step > 0:
         raise ConfigError("--nu-step must be > 0")
-    count = int(round((nu_max - nu_min) / nu_step)) + 1
+    steps = (nu_max - nu_min) / nu_step  # inf when the range overflows
+    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    if count > MAX_SWEEP_THRESHOLDS:
+        raise ConfigError(
+            f"the sweep would evaluate {float(count):.6g} thresholds, "
+            f"more than {MAX_SWEEP_THRESHOLDS}"
+        )
     return nu_min + nu_step * np.arange(count)
 
 

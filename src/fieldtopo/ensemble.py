@@ -2,12 +2,13 @@
 
 `run_ensemble` drives n independent realizations (seeded as
 (master_seed, index), so the result is reproducible and independent of how
-work is scheduled) through generate -> smooth -> threshold -> hole spectrum,
-and folds the per-realization integer statistics into per-threshold
-summaries.  On top of the summaries sit the analytic Gaussian Euler
-characteristic, the Binomial moment inversions for the three threshold
-regimes, total-variation comparisons of empirical PMFs against Binomial and
-Gaussian models, and the duality and normality diagnostics.
+work is scheduled) through generate (with the smoothing fused in) ->
+threshold -> hole spectrum, and folds the per-realization integer
+statistics into per-threshold summaries.  On top of the summaries sit the
+analytic Gaussian Euler characteristic, the Binomial moment inversions for
+the three threshold regimes, total-variation comparisons of empirical PMFs
+against Binomial and Gaussian models, and the duality and normality
+diagnostics.
 """
 
 from __future__ import annotations
@@ -15,16 +16,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, fields
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
 import numpy as np
+import scipy
 from scipy import special, stats as scipy_stats
 
 from .errors import ConfigError, DomainError
-from .grf import generate, sample_moments, smooth
+from .grf import generate, sample_moments
+from .grf import smooth  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 from .spectrum import PowerSpectrumModel
 from .topo2d import (
     ExcursionMask,
@@ -236,9 +240,9 @@ def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, dict[int, int]]:
 def _realize(config: EnsembleConfig, index: int) -> dict:
     """Run one realization through the full topology chain."""
     field = generate(
-        config.model, config.side, config.L, config.dim, seed=(config.master_seed, index)
+        config.model, config.side, config.L, config.dim,
+        seed=(config.master_seed, index), rs=config.rs,
     )
-    field = smooth(field, config.rs)
     moments = sample_moments(field)
 
     table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
@@ -849,9 +853,27 @@ def write_fits_csv(rows: Sequence[FitRow], path: str | Path, manifest_hash: str)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _environment() -> dict[str, str]:
+    """What a run ran on: package, Python, numpy and scipy versions, FFT module.
+
+    Outputs are byte-reproducible only within one FFT implementation, so
+    `manifest.json` records it; the manifest hash does not cover it.
+    """
+    from . import __version__  # the package imports this module first
+
+    return {
+        "fieldtopo": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "fft": np.fft.__name__,
+    }
+
+
 def write_manifest(result: EnsembleResult, path: str | Path, extra: dict | None = None) -> None:
     manifest = result.config.to_manifest()
     manifest["manifest_hash"] = result.config.manifest_hash()
+    manifest["environment"] = _environment()
     if extra:
         manifest.update(extra)
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,15 +1,20 @@
 """Periodic Gaussian random field synthesis, smoothing and field I/O.
 
-Fields are realized by spectral synthesis: white Gaussian noise is drawn in
-real space, transformed, and each Fourier mode is scaled by
+Fields are realized by spectral synthesis on the real-FFT half lattice
+(``numpy.fft.rfftn``/``irfftn``): white Gaussian noise is drawn in real
+space, transformed, and each Fourier mode is scaled by
 sqrt(P(|k|) N^d / L^d) so that the sample variance reproduces the integral of
-the power spectrum over the box modes.  The k = 0 amplitude is zeroed, giving
-exactly zero-mean realizations.  Identical inputs give bit-identical fields.
+the power spectrum over the box modes.  Gaussian smoothing is fused into the
+same pass, so a smoothed realization costs one forward and one inverse
+transform, and its values are a C-contiguous float64 array.  The k = 0
+amplitude is zeroed, giving exactly zero-mean realizations.  Identical inputs
+give bit-identical fields within one FFT implementation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,24 +62,49 @@ class FieldMoments(NamedTuple):
     sigma1: float
 
 
-def _k_squared(side: int, L: float, dim: int) -> np.ndarray:
-    """|k|^2 on the FFT mode lattice, broadcast to the full grid shape."""
-    k1 = 2.0 * np.pi * np.fft.fftfreq(side, d=L / side)
-    axes = []
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = side
-        axes.append((k1**2).reshape(shape))
-    out = axes[0]
-    for a in axes[1:]:
-        out = out + a
-    return out
+def _k_squared(side: int, L: float, dim: int, drop_nyquist: bool = False) -> np.ndarray:
+    """|k|^2 on the real-FFT half lattice, shaped (side, ..., side // 2 + 1).
+
+    Every axis but the last runs over the ``fftfreq`` modes; the last is the
+    ``rfftfreq`` half axis 0 ... side/2.  With ``drop_nyquist`` each axis
+    adds 0 at its own Nyquist index (see `sample_moments`).
+    """
+    k2 = 0.0
+    for axis in range(dim):
+        freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(side, d=L / side)
+        if drop_nyquist:
+            k[side // 2] = 0.0
+        k2 = k2 + (k * k).reshape([-1 if i == axis else 1 for i in range(dim)])
+    return k2
+
+
+def _check_rs(rs: float) -> None:
+    if not (math.isfinite(rs) and rs >= 0):
+        raise DomainError(f"smoothing length must be finite and >= 0, got {rs}")
+
+
+def _filter(values: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Multiply the modes of a real field by a real gain on the half lattice."""
+    axes = tuple(range(values.ndim))
+    return np.fft.irfftn(np.fft.rfftn(values) * gain, s=values.shape, axes=axes)
 
 
 def generate(
-    model: PowerSpectrumModel, side: int, L: float, dim: int, seed: Seed
+    model: PowerSpectrumModel,
+    side: int,
+    L: float,
+    dim: int,
+    seed: Seed,
+    rs: float = 0.0,
 ) -> FieldGrid:
-    """Draw one periodic Gaussian realization of the given spectrum.
+    """Draw one periodic Gaussian realization of the given spectrum, smoothed by ``rs``.
+
+    One real-FFT pass: the white noise is transformed with ``rfftn``, each
+    mode of the half lattice is scaled by sqrt(P(|k|) N^d / L^d) and by the
+    Gaussian window exp(-k^2 rs^2 / 2), and ``irfftn`` returns the field as
+    a C-contiguous float64 array.  The result equals
+    ``smooth(generate(..., rs=0), rs)`` to rounding.
 
     Parameters
     ----------
@@ -88,6 +118,8 @@ def generate(
     seed : int or sequence of int
         Seeds the generator; an ensemble should pass (master_seed, index) so
         realizations are reproducible independently of scheduling.
+    rs : float
+        Gaussian smoothing length (finite, >= 0); 0 leaves the field unsmoothed.
     """
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
@@ -95,33 +127,34 @@ def generate(
         raise ConfigError(f"grid side must be a power of two >= 32, got {side}")
     if L <= 0:
         raise DomainError(f"box size must be positive, got {L}")
+    _check_rs(rs)
 
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((side,) * dim)
 
     k2 = _k_squared(side, L, dim)
-    amp = np.zeros_like(k2)
-    mask = k2 > 0
-    amp[mask] = np.sqrt(eval_power(model, np.sqrt(k2[mask])) * side**dim / L**dim)
+    gain = np.zeros_like(k2)
+    live = k2 > 0
+    gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / L**dim)
+    gain *= np.exp(-0.5 * k2 * rs * rs)
 
-    values = np.fft.ifftn(np.fft.fftn(white) * amp).real
-    return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=0.0)
+    values = _filter(white, gain)
+    return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=float(rs))
 
 
 def smooth(field: FieldGrid, rs: float) -> FieldGrid:
-    """Convolve with a Gaussian kernel of scale ``rs`` (in Fourier space).
+    """Convolve a stored field with a Gaussian kernel of scale ``rs`` (in Fourier space).
 
     The k = 0 mode is untouched, so the mean is preserved; rs = 0 returns an
     identical copy.  Repeated smoothing composes in quadrature:
-    smooth(smooth(f, a), b) == smooth(f, sqrt(a^2 + b^2)).
+    smooth(smooth(f, a), b) == smooth(f, sqrt(a^2 + b^2)).  A field drawn by
+    `generate` takes its smoothing there, in the same transform pass.
     """
-    if rs < 0:
-        raise DomainError(f"smoothing length must be >= 0, got {rs}")
+    _check_rs(rs)
     if rs == 0.0:
         return replace(field, values=field.values.copy())
     k2 = _k_squared(field.side, field.L, field.dim)
-    window = np.exp(-0.5 * k2 * rs * rs)
-    values = np.fft.ifftn(np.fft.fftn(field.values) * window).real
+    values = _filter(field.values, np.exp(-0.5 * k2 * rs * rs))
     total = float(np.hypot(field.rs_applied, rs))
     return replace(field, values=values, rs_applied=total)
 
@@ -129,21 +162,22 @@ def smooth(field: FieldGrid, rs: float) -> FieldGrid:
 def sample_moments(field: FieldGrid) -> FieldMoments:
     """Empirical mean, standard deviation and RMS gradient of one realization.
 
-    The gradient is taken spectrally (modes multiplied by i k), consistent
-    with the periodic synthesis.
+    The mean and sigma0 are taken in real space.  The gradient is spectral
+    (modes multiplied by i k), so by Parseval sigma1^2 is the sum over the
+    modes of |k|^2 |F_k|^2 / N^2, read off one ``rfftn``: the interior
+    columns of the half axis stand for two modes each.  The Nyquist index of
+    axis d carries no d-gradient: i k_d F_k is anti-Hermitian there, so the
+    real gradient field has no such mode.
     """
     values = field.values
     mean = float(values.mean())
     sigma0 = float(values.std())
-    spec = np.fft.fftn(values)
-    k1 = 2.0 * np.pi * np.fft.fftfreq(field.side, d=field.pixel_size)
-    grad_sq = np.zeros_like(values)
-    for d in range(field.dim):
-        shape = [1] * field.dim
-        shape[d] = field.side
-        g = np.fft.ifftn(spec * (1j * k1.reshape(shape))).real
-        grad_sq += g * g
-    sigma1 = float(np.sqrt(grad_sq.mean()))
+    spec = np.fft.rfftn(values)
+    weight = np.full(spec.shape[-1], 2.0)
+    weight[[0, -1]] = 1.0
+    power = (spec.real**2 + spec.imag**2) * weight
+    k2 = _k_squared(field.side, field.L, field.dim, drop_nyquist=True)
+    sigma1 = math.sqrt(float(np.sum(k2 * power))) / values.size
     return FieldMoments(mean=mean, sigma0=sigma0, sigma1=sigma1)
 
 

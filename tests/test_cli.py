@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldtopo.cli import RunConfig, main, parse_run_config
+from fieldtopo.cli import (
+    MAX_SWEEP_THRESHOLDS,
+    RunConfig,
+    _sweep_thresholds,
+    main,
+    parse_run_config,
+)
 from fieldtopo.ensemble import EnsembleConfig, manifest_types
 from fieldtopo.errors import ConfigError
 from fieldtopo.grf import FieldGrid, save_field
@@ -50,6 +56,13 @@ class TestGen:
         code = run_cli("gen", "--n", "100", "--boxsize", "64",
                        "--out", str(tmp_path / "f.bin"))
         assert code == 2
+
+    @pytest.mark.parametrize("rs", ["-1", "nan", "inf"])
+    def test_bad_rs_exits_4(self, tmp_path, rs):
+        out = tmp_path / "f.bin"
+        code = run_cli("gen", "--n", "32", "--boxsize", "32", "--rs", rs, "--out", str(out))
+        assert code == 4
+        assert not out.exists()
 
     def test_unwritable_out_exits_3(self, tmp_path):
         code = run_cli("gen", "--n", "32", "--boxsize", "32",
@@ -110,6 +123,30 @@ class TestSweep:
             assert int(row["bsum"]) == b0 + b1 + b2
             assert row["m_spectrum"] == "{}" and row["jmax"] == "0"
         assert any(int(r["b2"]) > 0 for r in rows) and any(int(r["b1"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--nu-max", "inf"], "--nu-max must be finite"),
+            (["--nu-min=-inf"], "--nu-min must be finite"),
+            (["--nu-step", "nan"], "--nu-step must be finite"),
+            (["--nu-min=-1e308", "--nu-max", "1e308"], "inf thresholds"),  # span overflows
+            (["--nu-min", "0", "--nu-max", "1", "--nu-step", "1e-5"], "100001 thresholds"),
+        ],
+    )
+    def test_unbounded_sweep_exits_2(self, tmp_path, capsys, bounds, message):
+        field = tmp_path / "f.bin"
+        save_field(FieldGrid(dim=2, side=32, L=32.0, values=np.zeros((32, 32)), seed=0), field)
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--field", str(field), *bounds, "--out", str(out)) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_threshold_count_limit(self):
+        top = MAX_SWEEP_THRESHOLDS - 1
+        assert len(_sweep_thresholds(0.0, float(top), 1.0)) == MAX_SWEEP_THRESHOLDS
+        with pytest.raises(ConfigError, match=f"{MAX_SWEEP_THRESHOLDS + 1} thresholds"):
+            _sweep_thresholds(0.0, float(top + 1), 1.0)
 
     def test_nan_pixel_exits_3(self, tmp_path):
         values = np.zeros((32, 32))

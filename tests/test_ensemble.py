@@ -5,6 +5,7 @@ ensembles here are kept small.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from fieldtopo import (
     pdf_compare,
     run_ensemble,
 )
+import fieldtopo.ensemble as ens
 from fieldtopo.ensemble import N_TRIALS_CAP, TABLE_COLUMNS, config_from_manifest, measure_mask
 from fieldtopo.errors import ConfigError, DomainError
 
@@ -123,6 +125,18 @@ class TestConfig:
     def test_hash_tracks_content(self):
         assert quick_config().manifest_hash() != quick_config(master_seed=1).manifest_hash()
 
+    def test_written_manifest_records_environment(self, tmp_path, quick_result):
+        path = tmp_path / "manifest.json"
+        ens.write_manifest(quick_result, path)
+        manifest = json.loads(path.read_text())
+        env = manifest["environment"]
+        assert set(env) == {"fieldtopo", "python", "numpy", "scipy", "fft"}
+        assert env["numpy"] == np.__version__ and env["fft"] == "numpy.fft"
+        again = config_from_manifest(manifest)
+        assert again == quick_result.config
+        assert again.manifest_hash() == manifest["manifest_hash"]
+        assert manifest["manifest_hash"] == quick_result.config.manifest_hash()
+
 
 class TestRunEnsemble:
     def test_two_realization_means_exact(self):
@@ -171,6 +185,21 @@ class TestRunEnsemble:
             assert np.array_equal(table @ j, quick_result.stats["b1"][:, t])
             populated = table > 0
             assert np.array_equal((populated * j).max(axis=1), jmax)
+
+    @pytest.mark.parametrize("dim, side, rs", [(2, 64, 2.0), (2, 64, 0.0), (3, 32, 1.5)])
+    def test_one_synthesis_and_one_moments_pass(self, monkeypatch, dim, side, rs):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        ens._realize(quick_config(side=side, L=float(side), dim=dim, rs=rs), 0)
+        assert calls == ["rfftn", "irfftn", "rfftn"]
 
     def test_worker_count_invariance(self):
         cfg = quick_config(n_realizations=8)

@@ -66,6 +66,29 @@ class TestGenerate:
         assert f.values.shape == (32, 32, 32)
         assert f.values.std() > 0
 
+    @pytest.mark.parametrize(
+        "dim, side, L, rs", [(2, 64, 64.0, 3.0), (2, 64, 90.0, 1.5), (3, 32, 40.0, 2.0)]
+    )
+    def test_fused_smoothing_matches_smooth(self, dim, side, L, rs):
+        model = PowerSpectrumModel(amplitude=1.0, alpha=-1.0)
+        fused = generate(model, side, L, dim, seed=(4, 2), rs=rs)
+        staged = smooth(generate(model, side, L, dim, seed=(4, 2)), rs)
+        scale = staged.values.std()
+        assert np.abs(fused.values - staged.values).max() < 1e-12 * scale
+        assert fused.rs_applied == staged.rs_applied == rs
+
+    @pytest.mark.parametrize("rs", [-1.0, math.nan, math.inf])
+    def test_bad_rs_rejected(self, rs):
+        with pytest.raises(DomainError):
+            generate(FLAT, 32, 32.0, 2, seed=0, rs=rs)
+
+    @pytest.mark.parametrize("dim, rs", [(2, 0.0), (2, 2.0), (3, 0.0), (3, 2.0)])
+    def test_values_are_contiguous_float64(self, dim, rs):
+        f = generate(FLAT, 32, 32.0, dim, seed=1, rs=rs)
+        assert f.values.dtype == np.float64
+        assert f.values.flags.c_contiguous
+        assert smooth(f, 1.0).values.flags.c_contiguous
+
     def test_gaussianity_moment_check(self):
         f = generate(FLAT, 256, 256.0, 2, seed=21)
         x = f.values.ravel()
@@ -115,8 +138,53 @@ class TestSmooth:
         with pytest.raises(DomainError):
             smooth(f, -1.0)
 
+    @pytest.mark.parametrize("rs", [math.nan, math.inf])
+    def test_non_finite_rs_rejected(self, rs):
+        f = generate(FLAT, 32, 32.0, 2, seed=1)
+        with pytest.raises(DomainError):
+            smooth(f, rs)
+
+
+def spectral_gradient_sigma1(field: FieldGrid) -> float:
+    """RMS gradient from full complex transforms: fftn, then ifftn(i k_d F).real per axis."""
+    spec = np.fft.fftn(field.values)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(field.side, d=field.pixel_size)
+    grad_sq = np.zeros(field.values.shape)
+    for d in range(field.dim):
+        shape = [1] * field.dim
+        shape[d] = field.side
+        g = np.fft.ifftn(spec * (1j * k1.reshape(shape))).real
+        grad_sq += g * g
+    return float(np.sqrt(grad_sq.mean()))
+
 
 class TestSampleMoments:
+    @pytest.mark.parametrize(
+        "dim, side, L, rs",
+        [
+            (2, 64, 64.0, 0.0),  # unsmoothed: the Nyquist modes carry power
+            (2, 128, 37.0, 2.0),  # L != side
+            (2, 64, 64.0, 3.0),
+            (3, 32, 32.0, 0.0),
+            (3, 32, 45.0, 1.5),
+        ],
+    )
+    def test_sigma1_matches_spectral_gradient(self, dim, side, L, rs):
+        for seed in range(3):
+            f = generate(FLAT, side, L, dim, seed=(8, seed), rs=rs)
+            expected = spectral_gradient_sigma1(f)
+            assert sample_moments(f).sigma1 == pytest.approx(expected, rel=1e-13)
+
+    def test_sigma1_of_nyquist_checkerboard_is_zero(self):
+        # (-1)^(x + y) lives on the Nyquist modes only, where the periodic
+        # spectral gradient of a real field vanishes
+        side = 32
+        x = np.arange(side)
+        values = (-1.0) ** (x[:, None] + x[None, :])
+        f = FieldGrid(dim=2, side=side, L=32.0, values=values, seed=0)
+        assert spectral_gradient_sigma1(f) < 1e-12
+        assert sample_moments(f).sigma1 < 1e-12
+
     def test_constant_field(self):
         values = np.full((32, 32), 2.5)
         f = FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0)
