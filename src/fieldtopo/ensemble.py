@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 from scipy import special, stats as scipy_stats
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FieldtopoError
 from .grf import generate, sample_moments
 from .grf import smooth  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 from .spectrum import PowerSpectrumModel
@@ -238,24 +238,37 @@ def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, dict[int, int]]:
 
 
 def _realize(config: EnsembleConfig, index: int) -> dict:
-    """Run one realization through the full topology chain."""
-    field = generate(
-        config.model, config.side, config.L, config.dim,
-        seed=(config.master_seed, index), rs=config.rs,
-    )
-    moments = sample_moments(field)
+    """Run one realization through the full topology chain.
 
-    table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
-    mj: list[dict[int, int]] = []
-    sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
-    for t, nu in enumerate(config.thresholds):
-        mask = excursion_mask(field, nu, sigma)
-        st, counts = measure_mask(mask)
-        # betti3d's chi is the closed-cell count; a 2D chi gets it as an independent check
-        chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
-        row = {"jmax": max(counts, default=0), "chi_cell": chi_cell, "bg": st.n_background}
-        table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
-        mj.append(counts)
+    A `FieldtopoError` on the way is re-raised as the same type, its message
+    prefixed with the realization index, its seed and, from the threshold
+    loop, the threshold nu.
+    """
+    nu = None
+    try:
+        field = generate(
+            config.model, config.side, config.L, config.dim,
+            seed=(config.master_seed, index), rs=config.rs,
+        )
+        moments = sample_moments(field)
+
+        table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
+        mj: list[dict[int, int]] = []
+        sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
+        for t, nu in enumerate(config.thresholds):
+            mask = excursion_mask(field, nu, sigma)
+            st, counts = measure_mask(mask)
+            # betti3d's chi is the closed-cell count; in 2D the whole-mask count
+            # checks the per-component block sums that the hole counts come from
+            chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
+            row = {"jmax": max(counts, default=0), "chi_cell": chi_cell, "bg": st.n_background}
+            table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
+            mj.append(counts)
+    except FieldtopoError as exc:
+        site = f"realization {index}, seed ({config.master_seed}, {index})"
+        if nu is not None:
+            site += f", nu = {nu}"
+        raise type(exc)(f"{site}: {exc}") from exc
     return {
         "index": index,
         "sigma0": moments.sigma0,

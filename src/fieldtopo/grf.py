@@ -112,7 +112,8 @@ def generate(
     side : int
         Pixels per axis; must be a power of two >= 32.
     L : float
-        Physical box size.
+        Physical box size; finite and > 0.  A field that is not all finite
+        (the amplitude or side^d / L^d overflowed) raises `DomainError`.
     dim : int
         2 or 3.
     seed : int or sequence of int
@@ -125,20 +126,22 @@ def generate(
         raise DomainError(f"dim must be 2 or 3, got {dim}")
     if side < 32 or side & (side - 1) != 0:
         raise ConfigError(f"grid side must be a power of two >= 32, got {side}")
-    if L <= 0:
-        raise DomainError(f"box size must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise DomainError(f"box size must be finite and positive, got {L}")
     _check_rs(rs)
 
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((side,) * dim)
 
-    k2 = _k_squared(side, L, dim)
-    gain = np.zeros_like(k2)
-    live = k2 > 0
-    gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / L**dim)
-    gain *= np.exp(-0.5 * k2 * rs * rs)
-
-    values = _filter(white, gain)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite field below
+        k2 = _k_squared(side, L, dim)
+        gain = np.zeros_like(k2)
+        live = k2 > 0
+        gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / L**dim)
+        gain *= np.exp(-0.5 * k2 * rs * rs)
+        values = _filter(white, gain)
+    if not np.isfinite(values).all():
+        raise DomainError(f"the field is not finite (L = {L}, amplitude = {model.amplitude})")
     return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=float(rs))
 
 

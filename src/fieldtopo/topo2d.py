@@ -14,6 +14,8 @@ background 4-connected (26/6 in 3D), which is exactly the connectivity of the
 union of closed unit pixels.  Analysis is planar: the grid is treated as a
 clipped field of view, not a torus, so components touching the border count
 as components and background touching the border is exterior, not a hole.
+A connected planar component with closed-cell Euler characteristic chi_c
+has 1 - chi_c holes, so {m_j} needs one labeling per mask (`hole_spectrum`).
 """
 
 from __future__ import annotations
@@ -124,53 +126,49 @@ def excursion_mask(field: FieldGrid, nu: float, sigma_mode="sample") -> Excursio
     return ExcursionMask(bits=bits, nu=float(nu), sigma_used=sigma)
 
 
-def enclosed_background(bits: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Background labels, their count, and which labels no face of the frame touches.
+def touches_frame(labels: np.ndarray, n: int) -> np.ndarray:
+    """Which of the labels 0..n some face of the frame touches, one bool each."""
+    touched = np.zeros(n + 1, dtype=bool)
+    for axis in range(labels.ndim):
+        touched[np.take(labels, [0, -1], axis=axis)] = True
+    return touched
 
-    The background is labeled with 4-connectivity (6 in 3D).  ``enclosed``
-    has one entry per label, 0 included; it is True for the holes (cavities
-    in 3D) and False for label 0 and for every exterior piece.
-    """
-    labels, n = ndimage.label(~bits)  # default structure = 4/6-connectivity
-    enclosed = np.ones(n + 1, dtype=bool)
-    enclosed[0] = False
-    for axis in range(bits.ndim):
-        enclosed[np.take(labels, [0, -1], axis=axis)] = False
-    return labels, n, enclosed
+
+#: 4 x the share of V - E + F of the closed pixels at a 2x2 block's centre, by the
+#: block's code (bit 0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right):
+#: +1 for one set pixel, -1 for three, -2 for a diagonal pair (Gray 1971)
+_QUAD_WEIGHT = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0], dtype=np.int8)
 
 
 def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     """Count components by their number of holes (2D, planar).
 
-    Foreground components are labeled with 8-connectivity, background with
-    4-connectivity.  Background components touching the grid border are
-    exterior; every other one is a hole.  The number of background
-    components, exterior ones included, is kept as ``n_background``.  A hole
-    is attributed to the component owning the pixel directly above the
-    hole's topmost-leftmost pixel; under the 8/4 convention that pixel is
-    always foreground and always belongs to the enclosing component (islands
-    nested inside a hole lie strictly below its topmost row).
+    The foreground is labeled once, with 8-connectivity.  The `_QUAD_WEIGHT`
+    of the 2x2 blocks centred on the vertices of the zero-padded grid sum to
+    4 chi of the closed-pixel union.  A block's set pixels are 8-adjacent, so
+    the largest of its labels owns it; the blocks a component owns sum to
+    4 chi_c, and the component has 1 - chi_c holes.  ``n_background`` (all
+    4-connected background components) is the hole count of the mask framed
+    by a ring of set pixels, which absorbs every component touching the
+    frame: n_background = 1 + (components off the frame) - chi(framed mask).
     """
     if mask.dim != 2:
         raise DomainError("hole_spectrum is defined for 2D masks")
-    bits = mask.bits
-    fg_labels, n_fg = ndimage.label(bits, structure=_STRUCT_8)
-    if n_fg == 0:
-        return HoleSpectrum(nu=mask.nu, counts={}, n_background=1)
+    labels, n_fg = ndimage.label(mask.bits, structure=_STRUCT_8)
+    q = np.pad(mask.bits, 1).view(np.uint8)
+    code = (q[:-1, :-1] | q[:-1, 1:] << 1 | q[1:, :-1] << 2 | q[1:, 1:] << 3).ravel()
+    block = np.flatnonzero((code != 0) & (code != 15))  # empty and full blocks weigh 0
+    width = q.shape[1]
+    corner = block + block // (width - 1)  # the block's top-left pixel, row-major in q
+    flat = np.pad(labels, 1).ravel()
+    owner = np.max([flat[corner + step] for step in (0, 1, width, width + 1)], axis=0)
+    chi4 = np.bincount(owner, weights=_QUAD_WEIGHT[code[block]], minlength=n_fg + 1)
+    holes = 1 - chi4[1:].astype(np.int64) // 4
+    m = np.bincount(holes)
 
-    bg_labels, n_bg, is_hole = enclosed_background(bits)
-    holes_per_component = np.zeros(n_fg + 1, dtype=np.int64)
-    if is_hole.any():
-        ncols = bits.shape[1]
-        labels_seen, first_idx = np.unique(bg_labels.ravel(), return_index=True)
-        hole_first = first_idx[is_hole[labels_seen]]
-        owner_idx = hole_first - ncols  # pixel directly above, row-major
-        owners = fg_labels.ravel()[owner_idx]
-        if not owners.all():
-            raise DomainError("pixel above a hole's topmost pixel must be foreground")
-        holes_per_component = np.bincount(owners, minlength=n_fg + 1)
-
-    m = np.bincount(holes_per_component[1:])
+    off_frame = n_fg - int(np.count_nonzero(touches_frame(labels, n_fg)[1:]))
+    framed = ExcursionMask(np.pad(mask.bits, 1, constant_values=True), mask.nu, mask.sigma_used)
+    n_bg = 1 + off_frame - euler_closed_cell(framed)
     return HoleSpectrum(nu=mask.nu, counts=dict(enumerate(m.tolist())), n_background=n_bg)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError
-from .topo2d import ExcursionMask, TopoStats, enclosed_background, euler_closed_cell
+from .topo2d import ExcursionMask, TopoStats, euler_closed_cell, touches_frame
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=int)
 
@@ -30,8 +30,8 @@ def betti3d(mask: ExcursionMask) -> TopoStats:
         raise DomainError("betti3d is defined for 3D masks")
     bits = mask.bits
     _, b0 = ndimage.label(bits, structure=_STRUCT_26)
-    _, n_bg, is_cavity = enclosed_background(bits)
-    b2 = int(np.count_nonzero(is_cavity))
+    bg_labels, n_bg = ndimage.label(~bits)  # default structure = 6-connectivity
+    b2 = n_bg - int(np.count_nonzero(touches_frame(bg_labels, n_bg)[1:]))
 
     chi = euler_closed_cell(mask)
     b1 = b0 + b2 - chi

@@ -64,6 +64,17 @@ class TestGen:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--boxsize", "nan"], ["--boxsize", "inf"], ["--boxsize", "1e-300"],
+         ["--boxsize", "32", "--amplitude", "1e308"]],
+    )
+    def test_non_finite_field_exits_4_without_dump(self, tmp_path, capsys, flags):
+        out = tmp_path / "f.bin"
+        assert run_cli("gen", "--n", "32", *flags, "--out", str(out)) == 4
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_exits_3(self, tmp_path):
         code = run_cli("gen", "--n", "32", "--boxsize", "32",
                        "--out", str(tmp_path / "no" / "such" / "dir" / "f.bin"))
@@ -267,14 +278,34 @@ class TestEnsembleCommand:
         assert run_cli("ensemble", "--config", str(cfg),
                        "--output-dir", str(tmp_path / "o")) == 2
 
-    def test_partial_marker_on_failure(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
+    def test_partial_marker_on_failure(self, tmp_path, capsys):
         # a flat field cannot be thresholded: the run fails after outdir creation
-        cfg.write_text("amplitude = 0\nn = 32\nboxsize = 32\nthresholds = 0\n")
+        for workers in (1, 2):
+            cfg = tmp_path / f"run{workers}.cfg"
+            cfg.write_text(
+                f"amplitude = 0\nn = 32\nboxsize = 32\nthresholds = 0.5\n"
+                f"master_seed = 11\nworkers = {workers}\n"
+            )
+            outdir = tmp_path / f"o{workers}"
+            code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+            assert code == 4
+            assert (outdir / "PARTIAL_OUTPUT").exists()
+            # the failure names its realization, seed and threshold, across the pool too
+            site = "realization 0, seed (11, 0), nu = 0.5: sigma0 = 0.0"
+            assert site in capsys.readouterr().err
+            assert site in (outdir / "PARTIAL_OUTPUT").read_text()
+
+    def test_non_finite_field_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("amplitude = 1e308\nsigma_mode = 1.0\nn = 32\nboxsize = 32\n"
+                       "thresholds = -1 0 1\n")
         outdir = tmp_path / "o"
         code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
         assert code == 4
         assert (outdir / "PARTIAL_OUTPUT").exists()
+        assert not (outdir / "summary.csv").exists()
+        err = capsys.readouterr().err
+        assert "realization 0, seed (0, 0): the field is not finite" in err
 
     @pytest.mark.parametrize(
         "line",

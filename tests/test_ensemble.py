@@ -31,7 +31,7 @@ from fieldtopo import (
 )
 import fieldtopo.ensemble as ens
 from fieldtopo.ensemble import N_TRIALS_CAP, TABLE_COLUMNS, config_from_manifest, measure_mask
-from fieldtopo.errors import ConfigError, DomainError
+from fieldtopo.errors import ConfigError, DegenerateFieldError, DomainError
 
 FLAT = PowerSpectrumModel(1.0)
 
@@ -139,6 +139,19 @@ class TestConfig:
 
 
 class TestRunEnsemble:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_realization_seed_and_threshold(self, workers):
+        cfg = quick_config(model=PowerSpectrumModel(0.0), n_realizations=2, side=32, L=32.0)
+        # the flat field fails at the first threshold, with its own error type
+        with pytest.raises(DegenerateFieldError) as exc:
+            run_ensemble(cfg, workers=workers)
+        assert str(exc.value).startswith("realization 0, seed (99, 0), nu = -1.0: sigma0 = 0.0")
+
+    def test_failure_before_the_thresholds_names_no_nu(self):
+        cfg = quick_config(model=PowerSpectrumModel(1e308), n_realizations=2, side=32, L=32.0)
+        with pytest.raises(DomainError, match=r"^realization 0, seed \(99, 0\): the field"):
+            run_ensemble(cfg)
+
     def test_two_realization_means_exact(self):
         cfg = quick_config(n_realizations=2, side=32, L=32.0)
         res = run_ensemble(cfg)

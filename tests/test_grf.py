@@ -82,6 +82,19 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate(FLAT, 32, 32.0, 2, seed=0, rs=rs)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_box_size_rejected(self, L):
+        with pytest.raises(DomainError):
+            generate(FLAT, 32, L, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "amplitude, L, dim", [(1.0, 1e-300, 2), (1e308, 32.0, 2), (1e308, 32.0, 3)]
+    )
+    def test_overflowing_field_rejected(self, amplitude, L, dim):
+        # the gain sqrt(P N^d / L^d) overflows, so the field would be inf or NaN
+        with pytest.raises(DomainError, match="not finite"):
+            generate(PowerSpectrumModel(amplitude=amplitude), 32, L, dim, seed=0)
+
     @pytest.mark.parametrize("dim, rs", [(2, 0.0), (2, 2.0), (3, 0.0), (3, 2.0)])
     def test_values_are_contiguous_float64(self, dim, rs):
         f = generate(FLAT, 32, 32.0, dim, seed=1, rs=rs)

@@ -3,6 +3,9 @@
 The fixtures are the canonical small spaces: a solid block (one component,
 no holes), an annulus (one hole), a block with two separated holes, and
 nested annuli, with hand-counted cell complexes as independent oracles.
+`two_labeling_spectrum` is an independent route to {m_j} and the background
+count (label the background too and give each hole to the component above
+its first pixel); `hole_spectrum` is checked against it.
 """
 
 import itertools
@@ -10,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from fieldtopo import (
     ExcursionMask,
@@ -28,7 +32,7 @@ from fieldtopo import (
 )
 from fieldtopo.errors import DegenerateFieldError, DomainError
 from fieldtopo.grf import FieldGrid
-from fieldtopo.topo2d import enclosed_background
+from fieldtopo.topo2d import touches_frame
 
 
 def mask_of(array) -> ExcursionMask:
@@ -165,10 +169,92 @@ class TestHoleSpectrum:
         for _ in range(20):
             bits = rng.random((24, 24)) < rng.uniform(0.2, 0.8)
             hs = hole_spectrum(mask_of(bits))
-            from scipy import ndimage
-
             n_fg = ndimage.label(bits, structure=np.ones((3, 3)))[1]
             assert hs.n_components == n_fg == sum(hs.counts.values())
+
+    def test_island_in_hole_of_annulus_in_hole_of_annulus(self):
+        # three levels of nesting: each annulus keeps its own hole, the
+        # innermost island has none
+        bits = np.zeros((11, 11), dtype=bool)
+        bits[0, :] = bits[-1, :] = bits[:, 0] = bits[:, -1] = True
+        bits[2:9, 2:9] = True
+        bits[3:8, 3:8] = False
+        bits[5, 5] = True
+        hs = hole_spectrum(mask_of(bits))
+        assert hs.counts == {0: 1, 1: 2}
+        assert hs.n_background == 2  # the two holes; no background meets the frame
+
+    def test_frame_touching_component_with_holes(self):
+        # a block flush with the left and top edges, with two holes, and a
+        # detached pixel; the holes stay holes although the block meets the frame
+        bits = np.zeros((6, 8), dtype=bool)
+        bits[0:4, 0:5] = True
+        bits[1, 1] = bits[2, 3] = False
+        bits[5, 7] = True
+        hs = hole_spectrum(mask_of(bits))
+        assert hs.counts == {0: 1, 2: 1}
+        assert hs.n_background == 3  # two holes and the exterior
+
+
+def two_labeling_spectrum(bits) -> tuple[dict[int, int], int]:
+    """{m_j} and the background count by labeling foreground and background.
+
+    A 4-connected background component no face of the frame touches is a
+    hole.  It belongs to the component owning the pixel directly above the
+    hole's first pixel in row-major order: under the 8/4 convention that
+    pixel is foreground and encloses the hole, since islands nested in the
+    hole lie strictly below its top row.
+    """
+    fg_labels, n_fg = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+    bg_labels, n_bg = ndimage.label(~bits)
+    is_hole = np.ones(n_bg + 1, dtype=bool)
+    is_hole[0] = False
+    for axis in range(2):
+        is_hole[np.take(bg_labels, [0, -1], axis=axis)] = False
+    labels_seen, first_idx = np.unique(bg_labels.ravel(), return_index=True)
+    owners = fg_labels.ravel()[first_idx[is_hole[labels_seen]] - bits.shape[1]]
+    assert owners.all(), "the pixel above a hole's first pixel must be foreground"
+    holes_per_component = np.bincount(owners, minlength=n_fg + 1)
+    m = np.bincount(holes_per_component[1:])
+    return {j: int(c) for j, c in enumerate(m) if c}, n_bg
+
+
+class TestAgainstTwoLabelingOracle:
+    @staticmethod
+    def check(bits):
+        hs = hole_spectrum(mask_of(bits))
+        assert (hs.counts, hs.n_background) == two_labeling_spectrum(bits)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 7), (40, 40), (3, 40)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_empty_and_full(self, shape, fill):
+        self.check(np.full(shape, fill))
+
+    @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (2, 31), (31, 2)])
+    def test_thin_strips(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(50):
+            self.check(rng.random(shape) < rng.uniform(0.1, 0.9))
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+    @example(np.eye(5, dtype=bool) | np.eye(5, dtype=bool)[::-1])
+    def test_random_masks(self, bits):
+        self.check(bits)
+
+    def test_dense_random_masks(self):
+        # hypothesis favours sparse arrays; this sweeps the fill fraction
+        rng = np.random.default_rng(20250801)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 40, size=2))
+            self.check(rng.random(shape) < rng.uniform(0.02, 0.98))
+
+    def test_reference_field_masks(self):
+        # the masks of the acceptance reference: 512^2, rs = 4, 15 thresholds
+        for index in range(3):
+            field = generate(PowerSpectrumModel(1.0), 512, 512.0, 2, seed=(20250801, index), rs=4.0)
+            for nu in np.linspace(-3.5, 3.5, 15):
+                self.check(excursion_mask(field, nu).bits)
 
 
 class TestBackgroundCount:
@@ -278,14 +364,15 @@ def cell_oracle_chi(bits) -> int:
     return sum((-1) ** k * len(found) for k, found in enumerate(cells))
 
 
-class TestEnclosedBackground:
+class TestTouchesFrame:
     def test_annulus_hole_is_enclosed(self):
         bits = block((3, 3), canvas=(5, 5))
         bits[2, 2] = False
-        labels, n, enclosed = enclosed_background(bits)
-        assert n == 2
-        assert enclosed[labels[2, 2]] and not enclosed[labels[0, 0]]
-        assert not enclosed[0]
+        labels, n = ndimage.label(~bits)
+        touched = touches_frame(labels, n)
+        assert n == 2 and touched.shape == (3,)
+        assert not touched[labels[2, 2]] and touched[labels[0, 0]]
+        assert not touched[0]  # the foreground (label 0 here) stays off the frame
 
     def test_every_face_of_the_frame_is_exterior(self):
         # a background piece touching only one face is exterior, in 2D and 3D
@@ -297,14 +384,14 @@ class TestEnclosedBackground:
                     index = [s // 2 for s in shape]
                     index[axis] = end
                     probe[tuple(index)] = False
-                    _, n, enclosed = enclosed_background(probe)
-                    assert n == 1 and not enclosed.any()
+                    labels, n = ndimage.label(~probe)
+                    assert n == 1 and touches_frame(labels, n).tolist() == [True, True]
 
     def test_3d_cavity_is_enclosed(self):
         bits = np.ones((3, 3, 3), dtype=bool)
         bits[1, 1, 1] = False
-        _, n, enclosed = enclosed_background(bits)
-        assert n == 1 and enclosed.tolist() == [False, True]
+        labels, n = ndimage.label(~bits)
+        assert n == 1 and touches_frame(labels, n).tolist() == [True, False]
 
 
 class TestGeneratingFunction:
