@@ -8,7 +8,9 @@ statistics into per-threshold summaries.  On top of the summaries sit the
 analytic Gaussian Euler characteristic, the Binomial moment inversions for
 the three threshold regimes, total-variation comparisons of empirical PMFs
 against Binomial and Gaussian models, and the duality and normality
-diagnostics.
+diagnostics.  Only `pdf_compare` needs ``scipy.stats`` (the Binomial PMF),
+and it imports it on its first call, so an ensemble of fewer than 100
+realizations never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 import scipy
-from scipy import special, stats as scipy_stats
+from scipy import special
 
 from .errors import ConfigError, DomainError, FieldtopoError
 from .grf import generate, sample_moments
@@ -596,7 +598,9 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
     if use_binomial:
         n_int = fit.N_round
         p_use = min(1.0, max(0.0, fit.N_fit * fit.p_fit / n_int))
-        pmf_bin = scipy_stats.binom.pmf(bins, n_int, p_use)
+        from scipy.stats import binom  # on first use: importing it would double start-up
+
+        pmf_bin = binom.pmf(bins, n_int, p_use)
         tv_binomial = float(0.5 * np.abs(pmf_emp - pmf_bin).sum())
 
     edges = np.concatenate([bins - 0.5, [bins[-1] + 0.5]])
@@ -701,6 +705,9 @@ def normality_trend(
     All results must share the threshold grid; rows report, per statistic and
     threshold, whether |skewness| decreases monotonically as the grid side
     grows (the Gaussian-limit trend).  Constant statistics are flagged.
+    Skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3 come from the
+    biased central moments m_k, in the same operations as the defaults of
+    ``scipy.stats.skew`` and ``kurtosis``, so the values match them exactly.
     """
     if len(results) < 2:
         raise ConfigError("normality trend needs at least 2 grid sizes")
@@ -722,8 +729,11 @@ def normality_trend(
                     kurts.append(math.nan)
                     flags.append(f"constant at side {r.config.side}")
                 else:
-                    skews.append(float(scipy_stats.skew(x)))
-                    kurts.append(float(scipy_stats.kurtosis(x)))
+                    d = x - x.mean()
+                    d2 = d**2
+                    m2 = d2.mean()
+                    skews.append(float((d2 * d).mean() / m2**1.5))
+                    kurts.append(float((d2**2).mean() / m2**2.0 - 3.0))
             finite = [abs(s) for s in skews if not math.isnan(s)]
             decreasing = len(finite) == len(skews) and all(
                 b < a for a, b in zip(finite, finite[1:])

@@ -110,7 +110,8 @@ def generate(
     ----------
     model : PowerSpectrumModel
     side : int
-        Pixels per axis; must be a power of two >= 32.
+        Pixels per axis; must be a power of two >= 32.  A grid that numpy
+        cannot allocate raises `DomainError`.
     L : float
         Physical box size; finite and > 0.  A field that is not all finite
         (the amplitude or side^d / L^d overflowed) raises `DomainError`.
@@ -131,7 +132,10 @@ def generate(
     _check_rs(rs)
 
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal((side,) * dim)
+    try:
+        white = rng.standard_normal((side,) * dim)
+    except (ValueError, MemoryError) as exc:  # numpy refuses a grid it cannot allocate
+        raise DomainError(f"cannot allocate a {dim}D grid of side {side}: {exc}") from exc
 
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite field below
         k2 = _k_squared(side, L, dim)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DegenerateFieldError, DivergenceError, DomainError
 
@@ -177,6 +176,8 @@ def spectral_moment(
 
     def integrand(k: float) -> float:
         return amp * k**exponent * math.exp(-k * k * rs2)
+
+    from scipy import integrate  # loaded on first use: the ensemble path never integrates
 
     value, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
     return coef * value

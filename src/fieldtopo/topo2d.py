@@ -15,7 +15,9 @@ union of closed unit pixels.  Analysis is planar: the grid is treated as a
 clipped field of view, not a torus, so components touching the border count
 as components and background touching the border is exterior, not a hole.
 A connected planar component with closed-cell Euler characteristic chi_c
-has 1 - chi_c holes, so {m_j} needs one labeling per mask (`hole_spectrum`).
+has 1 - chi_c holes, so {m_j} needs one labeling per mask (`hole_spectrum`);
+the background component count follows from that labeling and the runs of
+set pixels around the boundary loop.
 """
 
 from __future__ import annotations
@@ -150,7 +152,11 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     4 chi_c, and the component has 1 - chi_c holes.  ``n_background`` (all
     4-connected background components) is the hole count of the mask framed
     by a ring of set pixels, which absorbs every component touching the
-    frame: n_background = 1 + (components off the frame) - chi(framed mask).
+    frame.  By inclusion-exclusion, chi(framed) = chi(mask) + chi(ring) -
+    chi(mask & ring) = b0 - b1 - arcs, since the ring is an annulus (chi 0)
+    and it meets the mask in the ``arcs`` runs of set border pixels around
+    the boundary loop (0 when the loop is all set or all clear).  So
+    n_background = 1 + b1 - (components touching the frame) + arcs.
     """
     if mask.dim != 2:
         raise DomainError("hole_spectrum is defined for 2D masks")
@@ -166,9 +172,11 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     holes = 1 - chi4[1:].astype(np.int64) // 4
     m = np.bincount(holes)
 
-    off_frame = n_fg - int(np.count_nonzero(touches_frame(labels, n_fg)[1:]))
-    framed = ExcursionMask(np.pad(mask.bits, 1, constant_values=True), mask.nu, mask.sigma_used)
-    n_bg = 1 + off_frame - euler_closed_cell(framed)
+    b = mask.bits  # the boundary loop, clockwise; a corner pixel shows on both its sides
+    loop = np.concatenate([b[0], b[:, -1], b[-1, ::-1], b[::-1, 0]])
+    arcs = int(np.count_nonzero(loop & ~np.roll(loop, 1)))
+    on_frame = int(np.count_nonzero(touches_frame(labels, n_fg)[1:]))
+    n_bg = 1 + int(holes.sum()) - on_frame + arcs
     return HoleSpectrum(nu=mask.nu, counts=dict(enumerate(m.tolist())), n_background=n_bg)
 
 

@@ -75,6 +75,17 @@ class TestGen:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    def test_unallocatable_grid_exits_4_without_dump(self, tmp_path, capsys):
+        # numpy refuses (2^30)^3 doubles before allocating anything
+        out = tmp_path / "f.bin"
+        code = run_cli("gen", "--n", str(2**30), "--dim", "3", "--boxsize", "1",
+                       "--out", str(out))
+        assert code == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot allocate a 3D grid of side {2**30}" in captured.err
+
     def test_unwritable_out_exits_3(self, tmp_path):
         code = run_cli("gen", "--n", "32", "--boxsize", "32",
                        "--out", str(tmp_path / "no" / "such" / "dir" / "f.bin"))
@@ -306,6 +317,17 @@ class TestEnsembleCommand:
         assert not (outdir / "summary.csv").exists()
         err = capsys.readouterr().err
         assert "realization 0, seed (0, 0): the field is not finite" in err
+
+    def test_unallocatable_grid_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {2**30}\ndim = 3\nboxsize = 1\nthresholds = 0\n")
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+        assert code == 4
+        assert not (outdir / "summary.csv").exists()
+        site = f"realization 0, seed (0, 0): cannot allocate a 3D grid of side {2**30}"
+        assert site in capsys.readouterr().err
+        assert site in (outdir / "PARTIAL_OUTPUT").read_text()
 
     @pytest.mark.parametrize(
         "line",

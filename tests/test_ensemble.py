@@ -7,10 +7,11 @@ ensembles here are kept small.
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import kurtosis, norm, skew
 
 from fieldtopo import (
     EnsembleConfig,
@@ -496,6 +497,43 @@ class TestNormalityTrend:
         trend = by_nu[1.0]
         assert trend.sides == [32, 64]
         assert all(math.isfinite(s) for s in trend.skewness)
+
+    @staticmethod
+    def check_against_scipy(results, rows):
+        for row in rows:
+            by_side = {r.config.side: r.samples(row.statistic, row.nu) for r in results}
+            flags, finite = [], []
+            for side, g1, g2 in zip(row.sides, row.skewness, row.excess_kurtosis):
+                x = by_side[side].astype(float)
+                if np.ptp(x) == 0.0:
+                    assert math.isnan(g1) and math.isnan(g2)
+                    flags.append(f"constant at side {side}")
+                else:
+                    assert g1 == float(skew(x))
+                    assert g2 == float(kurtosis(x))
+                    finite.append(abs(g1))
+            assert row.flags == flags
+            decreasing = len(finite) == len(row.sides) and all(
+                b < a for a, b in zip(finite, finite[1:])
+            )
+            assert row.abs_skew_decreasing == decreasing
+
+    def test_moments_equal_scipy_on_integer_samples(self):
+        rng = np.random.default_rng(20250801)
+        results = []
+        for side, n in zip((32, 64, 128), (8, 100, 500)):
+            draws = {"b0": rng.poisson(12.0, n), "b1": rng.integers(0, 400, n),
+                     "chi": rng.binomial(3, 0.02, n) - 1, "bsum": np.full(n, 7)}
+            results.append(SimpleNamespace(
+                config=SimpleNamespace(side=side, thresholds=(1.0,)),
+                samples=lambda stat, nu, d=draws: d[stat],
+            ))
+        rows = normality_trend(results)
+        self.check_against_scipy(results, rows)
+        assert any(row.flags for row in rows)  # the constant bsum
+
+    def test_moments_equal_scipy_on_an_ensemble(self, two_sizes):
+        self.check_against_scipy(two_sizes, normality_trend(two_sizes))
 
     def test_needs_two_results(self, two_sizes):
         with pytest.raises(ConfigError):

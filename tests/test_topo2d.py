@@ -136,6 +136,8 @@ class TestHoleSpectrum:
         bits[3, 3] = True
         hs = hole_spectrum(mask_of(bits))
         assert hs.counts == {0: 1, 1: 1}
+        # a fully set border is one closed run around the loop: no exterior piece
+        assert hs.n_background == 1
 
     def test_nested_annuli(self):
         # ring inside the hole of a bigger ring: one hole each, so a wrong
@@ -283,6 +285,37 @@ class TestBackgroundCount:
         bits[2, :] = True  # a bar across the window cuts the background in two
         hs = hole_spectrum(mask_of(bits))
         assert (hs.counts, hs.n_background) == ({0: 1}, 2)
+
+    @pytest.mark.parametrize("corners", [[(0, 0)], [(0, -1)], [(-1, 0), (0, -1)],
+                                         [(0, 0), (-1, -1)], [(0, 0), (0, -1), (-1, 0), (-1, -1)]])
+    def test_contact_at_corner_pixels_only(self, corners):
+        # a corner pixel shows on both sides of the loop: one arc, not two
+        bits = np.zeros((6, 6), dtype=bool)
+        for corner in corners:
+            bits[corner] = True
+        hs = hole_spectrum(mask_of(bits))
+        assert (hs.counts, hs.n_background) == ({0: len(corners)}, 1)
+        TestAgainstTwoLabelingOracle.check(bits)
+
+    def test_corner_run_wraps_the_loop(self):
+        # one run that starts on the left side and ends on the top row
+        bits = np.zeros((6, 6), dtype=bool)
+        bits[:3, 0] = bits[0, :3] = True
+        hs = hole_spectrum(mask_of(bits))
+        assert (hs.counts, hs.n_background) == ({0: 1}, 1)
+        TestAgainstTwoLabelingOracle.check(bits)
+
+    @pytest.mark.parametrize(
+        "row, n_components, n_background",
+        [("1011001", 3, 2), ("0110100", 2, 3), ("1111111", 1, 0), ("0000000", 0, 1)],
+    )
+    def test_strips(self, row, n_components, n_background):
+        # in a 1 x n or n x 1 strip each run of clear pixels is one background component
+        strip = np.array([[c == "1" for c in row]])
+        for bits in (strip, strip.T):
+            hs = hole_spectrum(mask_of(bits))
+            assert (hs.n_components, hs.jmax, hs.n_background) == (n_components, 0, n_background)
+            TestAgainstTwoLabelingOracle.check(bits)
 
     def test_carried_to_stats(self):
         bits = block((3, 3), canvas=(5, 5))
