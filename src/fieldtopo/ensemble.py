@@ -10,7 +10,8 @@ the three threshold regimes, total-variation comparisons of empirical PMFs
 against Binomial and Gaussian models, and the duality and normality
 diagnostics.  Only `pdf_compare` needs ``scipy.stats`` (the Binomial PMF),
 and it imports it on its first call, so an ensemble of fewer than 100
-realizations never loads it.
+realizations never loads it.  Every CSV file of the package, the `sweep`
+table included, is written by `write_csv`; the other writers build rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, fields
@@ -58,6 +60,12 @@ N_TRIALS_CAP = 1.0e9
 #: components but splits the background they enclose
 DUALITY_SYSTEMATIC = 0.02
 
+#: |nu| at and beyond which `compute_fits` uses the analytic chi inversions
+REGIME_CUT = 2.0
+
+#: how a float prints in a CSV field and in a hist file name
+FLOAT_FORMAT = ".12g"
+
 
 # ---------------------------------------------------------------------------
 # configuration and result containers
@@ -97,8 +105,11 @@ class EnsembleConfig:
         nus = tuple(float(v) for v in self.thresholds)
         if not (nus and all(math.isfinite(v) for v in nus)):
             raise ConfigError("thresholds must list at least one finite value")
-        if any(b <= a for a, b in zip(nus, nus[1:])):
-            raise ConfigError("thresholds must be strictly increasing")
+        for a, b in zip(nus, nus[1:]):
+            if b <= a:
+                raise ConfigError("thresholds must be strictly increasing")
+            if format(a, FLOAT_FORMAT) == format(b, FLOAT_FORMAT):  # rounding is monotone
+                raise ConfigError(f"thresholds {a!r} and {b!r} both print as {a:{FLOAT_FORMAT}}")
         object.__setattr__(self, "thresholds", nus)
 
     @property
@@ -355,9 +366,13 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleResult:
 
     The per-realization table and every derived summary are bitwise
     independent of ``workers``: realization i is seeded by
-    (master_seed, i) and the fold is a fixed-order pass over indices.
+    (master_seed, i) and the fold is a fixed-order pass over indices, so
+    the pool has min(workers, n_realizations, CPUs) processes (none for 1).
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     indices = range(config.n_realizations)
+    workers = min(workers, config.n_realizations, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
@@ -630,9 +645,13 @@ class DualityRow:
     flag: str = ""
 
 
-def duality_check(
-    summaries: Sequence[ThresholdSummary], systematic_frac: float = DUALITY_SYSTEMATIC
-) -> list[DualityRow]:
+def symmetric(thresholds: Sequence[float]) -> bool:
+    """Whether a threshold grid is its own mirror image about 0 (to 1e-9)."""
+    nus = np.sort(np.asarray(thresholds, dtype=float))
+    return bool(np.allclose(nus, -nus[::-1], atol=1e-9))
+
+
+def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:
     """Compare <b0(nu)> against the background component count at -nu.
 
     Under f -> -f the components of the excursion set at nu map onto all
@@ -640,15 +659,12 @@ def duality_check(
     frame cuts off.  (b1(-nu) leaves the frame-cut pieces out, so it is not
     the dual on a clipped window; in 3D neither is b1, which counts tunnels.)
     What remains of the difference comes from the 8/4 (26/6) connectivity
-    asymmetry, which ``systematic_frac`` allows for.  The z-score is the
+    asymmetry, which `DUALITY_SYSTEMATIC` allows for.  The z-score is the
     excess of |difference| over that systematic, in units of the combined
     standard error; |z| <= 3 is the pass mark.
     """
-    nus = np.array([s.nu for s in summaries])
-    order = np.argsort(nus)
-    nus = nus[order]
-    summaries = [summaries[i] for i in order]
-    if not np.allclose(nus, -nus[::-1], atol=1e-9):
+    summaries = sorted(summaries, key=lambda s: s.nu)
+    if not symmetric([s.nu for s in summaries]):
         raise ConfigError("duality check needs a threshold grid symmetric about 0")
 
     rows = []
@@ -657,7 +673,7 @@ def duality_check(
         diff = s_pos.mean_b0 - s_neg.mean_bg
         se = math.hypot(s_pos.se("b0"), s_neg.se("bg"))
         scale = max(abs(s_pos.mean_b0), abs(s_neg.mean_bg))
-        systematic = systematic_frac * scale
+        systematic = DUALITY_SYSTEMATIC * scale
         flag = ""
         if s_pos.n_realizations < 2:
             flag = "insufficient data"
@@ -763,28 +779,26 @@ class FitRow:
     tv_gaussian: float | None
 
 
-def compute_fits(
-    result: EnsembleResult, r_c: float | None = None, regime_cut: float = 2.0
-) -> list[FitRow]:
+def compute_fits(result: EnsembleResult) -> list[FitRow]:
     """Produce the per-threshold fit table across the three regimes.
 
-    nu >= regime_cut: analytic high-threshold inversion on chi;
-    nu <= -regime_cut: the mirrored inversion on chi (sampled as -chi);
-    in between: method-of-moments fits for each statistic.  TV distances are
-    attached when there are enough realizations for a PDF comparison.
+    nu >= `REGIME_CUT`: analytic high-threshold inversion on chi, with the
+    measured r_c; nu <= -`REGIME_CUT`: the mirrored inversion on chi
+    (sampled as -chi); in between: method-of-moments fits for each
+    statistic.  TV distances are attached when there are enough
+    realizations for a PDF comparison.
     """
-    if r_c is None:
-        r_c = result.r_c_measured
+    r_c = result.r_c_measured
     area = result.area
     enough = result.config.n_realizations >= 100
     rows: list[FitRow] = []
     for summary in result.summaries:
         nu = summary.nu
-        if nu >= regime_cut:
+        if nu >= REGIME_CUT:
             fit = fit_binomial_high_nu(nu, summary.sd_chi, r_c, area)
             samples = result.samples("chi", nu)
             rows.append(_fit_row(fit, samples, enough))
-        elif nu <= -regime_cut:
+        elif nu <= -REGIME_CUT:
             fit = fit_binomial_low_nu(nu, summary.sd_chi, r_c, area)
             samples = -result.samples("chi", nu)
             rows.append(_fit_row(fit, samples, enough))
@@ -804,20 +818,33 @@ def compute_fits(
 def _fit_row(fit: BinomialFit, samples: np.ndarray, enough: bool) -> FitRow:
     if not enough:
         return FitRow(fit=fit, tv_binomial=None, tv_gaussian=None)
-    cmp = pdf_compare(samples, fit if fit.valid else None)
+    cmp = pdf_compare(samples, fit)
     return FitRow(fit=fit, tv_binomial=cmp.tv_binomial, tv_gaussian=cmp.tv_gaussian)
 
 
 # ---------------------------------------------------------------------------
-# file output (summary.csv, hist_*.csv, fits.csv, manifest)
+# file output (summary.csv, hist_*.csv, fits.csv, duality.csv, manifest)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+def write_csv(path: str | Path, columns, rows, manifest_hash: str | None = None) -> None:
+    """Write one CSV file; every CSV of the package goes through here.
+
+    An optional ``# manifest_hash=`` line, the header, then one line per row.
+    A float prints as ``%.12g``, None as an empty field, anything else with
+    `str`; a field holding a comma or a double quote is quoted (RFC 4180).
+    """
+
+    def text(value) -> str:
+        if value is None:
+            return ""
+        out = format(value, FLOAT_FORMAT) if isinstance(value, float) else str(value)
+        if "," in out or '"' in out:
+            out = '"' + out.replace('"', '""') + '"'
+        return out
+
+    lines = [] if manifest_hash is None else [f"# manifest_hash={manifest_hash}"]
+    lines += [",".join(map(text, row)) for row in [columns, *rows]]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_summary_csv(result: EnsembleResult, path: str | Path) -> None:
@@ -830,50 +857,44 @@ def write_summary_csv(result: EnsembleResult, path: str | Path) -> None:
         "mean_bsum_per_area",
     ]
     area = result.area
-    lines = [f"# manifest_hash={result.config.manifest_hash()}", ",".join(cols)]
-    for s in result.summaries:
-        row = [
+    rows = [
+        [
             s.nu, s.n_realizations, area,
             s.mean_b0, s.mean_b1, s.mean_chi, s.mean_bsum,
             s.sd_b0, s.sd_b1, s.sd_chi, s.sd_bsum, s.cov_b0b1,
             s.mean_b0 / area, s.mean_b1 / area, s.mean_chi / area, s.mean_bsum / area,
         ]
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        for s in result.summaries
+    ]
+    write_csv(path, cols, rows, result.config.manifest_hash())
 
 
-def write_hist_csvs(result: EnsembleResult, outdir: str | Path) -> list[Path]:
-    """One hist_<stat>_<nu>.csv per statistic and threshold."""
-    outdir = Path(outdir)
+def write_hist_csvs(result: EnsembleResult, outdir: str | Path) -> None:
+    """One hist_<stat>_<nu>.csv per statistic and threshold, nu as in the CSVs."""
     mh = result.config.manifest_hash()
-    written = []
     for s in result.summaries:
         for stat in STAT_NAMES:
-            hist = s.histograms.get(stat, {})
-            path = outdir / f"hist_{stat}_{s.nu:g}.csv"
-            lines = [f"# manifest_hash={mh}", "bin,count"]
-            for value in sorted(hist):
-                lines.append(f"{value},{hist[value]}")
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
-    return written
+            path = Path(outdir) / f"hist_{stat}_{s.nu:{FLOAT_FORMAT}}.csv"
+            write_csv(path, ["bin", "count"], sorted(s.histograms.get(stat, {}).items()), mh)
 
 
 def write_fits_csv(rows: Sequence[FitRow], path: str | Path, manifest_hash: str) -> None:
     cols = ["nu", "statistic", "regime", "N", "p", "valid", "tv_binomial", "tv_gaussian"]
-    lines = [f"# manifest_hash={manifest_hash}", ",".join(cols)]
-    for row in rows:
-        f = row.fit
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in [
-                    f.nu, f.statistic, f.regime, f.N_fit, f.p_fit,
-                    int(f.valid), row.tv_binomial, row.tv_gaussian,
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, cols, [
+        [r.fit.nu, r.fit.statistic, r.fit.regime, r.fit.N_fit, r.fit.p_fit,
+         int(r.fit.valid), r.tv_binomial, r.tv_gaussian]
+        for r in rows
+    ], manifest_hash)
+
+
+def write_duality_csv(rows: Sequence[DualityRow], path: str | Path, manifest_hash: str) -> None:
+    cols = ["nu", "mean_b0", "mean_bg_mirror", "diff", "se_combined", "systematic", "z", "ok",
+            "flag"]
+    write_csv(path, cols, [
+        [r.nu, r.mean_b0, r.mean_bg_mirror, r.diff, r.se_combined, r.systematic, r.z,
+         int(r.ok), r.flag]
+        for r in rows
+    ], manifest_hash)
 
 
 def _environment() -> dict[str, str]:
@@ -893,10 +914,8 @@ def _environment() -> dict[str, str]:
     }
 
 
-def write_manifest(result: EnsembleResult, path: str | Path, extra: dict | None = None) -> None:
+def write_manifest(result: EnsembleResult, path: str | Path) -> None:
     manifest = result.config.to_manifest()
     manifest["manifest_hash"] = result.config.manifest_hash()
     manifest["environment"] = _environment()
-    if extra:
-        manifest.update(extra)
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

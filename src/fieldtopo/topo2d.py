@@ -145,9 +145,9 @@ _QUAD_WEIGHT = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0], 
 def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     """Count components by their number of holes (2D, planar).
 
-    The foreground is labeled once, with 8-connectivity.  The `_QUAD_WEIGHT`
-    of the 2x2 blocks centred on the vertices of the zero-padded grid sum to
-    4 chi of the closed-pixel union.  A block's set pixels are 8-adjacent, so
+    The zero-padded foreground is labeled once, with 8-connectivity.  The
+    `_QUAD_WEIGHT` of the 2x2 blocks centred on the vertices of that padded
+    grid sum to 4 chi of the closed-pixel union.  A block's set pixels are 8-adjacent, so
     the largest of its labels owns it; the blocks a component owns sum to
     4 chi_c, and the component has 1 - chi_c holes.  ``n_background`` (all
     4-connected background components) is the hole count of the mask framed
@@ -160,14 +160,16 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     """
     if mask.dim != 2:
         raise DomainError("hole_spectrum is defined for 2D masks")
-    labels, n_fg = ndimage.label(mask.bits, structure=_STRUCT_8)
-    q = np.pad(mask.bits, 1).view(np.uint8)
-    code = (q[:-1, :-1] | q[:-1, 1:] << 1 | q[1:, :-1] << 2 | q[1:, 1:] << 3).ravel()
+    padded = np.pad(mask.bits, 1)
+    labels, n_fg = ndimage.label(padded, structure=_STRUCT_8)
+    # block i has its top-left pixel at flat index i of the padded grid; a block
+    # that wraps a row holds only padding, so its code is 0 like an empty block
+    width = padded.shape[1]
+    q = padded.view(np.uint8).ravel()
+    code = q[: -width - 1] | q[1:-width] << 1 | q[width:-1] << 2 | q[width + 1 :] << 3
     block = np.flatnonzero((code != 0) & (code != 15))  # empty and full blocks weigh 0
-    width = q.shape[1]
-    corner = block + block // (width - 1)  # the block's top-left pixel, row-major in q
-    flat = np.pad(labels, 1).ravel()
-    owner = np.max([flat[corner + step] for step in (0, 1, width, width + 1)], axis=0)
+    flat = labels.ravel()
+    owner = np.max([flat[block + step] for step in (0, 1, width, width + 1)], axis=0)
     chi4 = np.bincount(owner, weights=_QUAD_WEIGHT[code[block]], minlength=n_fg + 1)
     holes = 1 - chi4[1:].astype(np.int64) // 4
     m = np.bincount(holes)
@@ -175,7 +177,7 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     b = mask.bits  # the boundary loop, clockwise; a corner pixel shows on both its sides
     loop = np.concatenate([b[0], b[:, -1], b[-1, ::-1], b[::-1, 0]])
     arcs = int(np.count_nonzero(loop & ~np.roll(loop, 1)))
-    on_frame = int(np.count_nonzero(touches_frame(labels, n_fg)[1:]))
+    on_frame = int(np.count_nonzero(touches_frame(labels[1:-1, 1:-1], n_fg)[1:]))
     n_bg = 1 + int(holes.sum()) - on_frame + arcs
     return HoleSpectrum(nu=mask.nu, counts=dict(enumerate(m.tolist())), n_background=n_bg)
 

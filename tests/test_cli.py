@@ -329,9 +329,35 @@ class TestEnsembleCommand:
         assert site in capsys.readouterr().err
         assert site in (outdir / "PARTIAL_OUTPUT").read_text()
 
+    def test_hist_names_print_nu_as_the_csvs_do(self, tmp_path):
+        cfg = self.write_config(tmp_path, thresholds="1.0000001 1.0000002")
+        outdir = tmp_path / "out"
+        assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == 0
+        names = sorted(p.name for p in outdir.glob("hist_*.csv"))
+        assert len(names) == 10
+        assert "hist_b0_1.0000001.csv" in names and "hist_b0_1.0000002.csv" in names
+
+    def test_thresholds_printing_alike_exit_2_before_output(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, thresholds="1 1.0000000000001")
+        outdir = tmp_path / "o"
+        assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == 2
+        assert "both print as 1\n" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag", ["0", "-1"])
+    def test_workers_flag_below_one_exits_2_before_output(self, tmp_path, capsys, flag):
+        cfg = self.write_config(tmp_path)
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir),
+                       "--workers", flag)
+        assert code == 2
+        assert f"workers must be >= 1, got {flag}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "line",
-        ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc", "amplitude = nan"],
+        ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc", "amplitude = nan",
+         "workers = 0", "workers = -1"],
     )
     def test_invalid_value_exits_2_before_output(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -456,6 +482,21 @@ class TestRunConfigParsing:
         except ConfigError:
             return
         assert isinstance(parsed, RunConfig)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rs = 2\nn = 64\nrs = 3\n", "c.cfg:3: 'rs' repeats 'rs' of line 1$"),
+            ("rs = 2\nfwhm = 9.42\n", "c.cfg:2: 'fwhm' repeats 'rs' of line 1$"),
+            ("fwhm = 9.42\nrs = 2\n", "c.cfg:2: 'rs' repeats 'fwhm' of line 1$"),
+            ("n = 64\n# n = 32\nn = 128\n", "c.cfg:3: 'n' repeats 'n' of line 1$"),
+        ],
+    )
+    def test_key_given_twice(self, tmp_path, text, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_run_config(cfg)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             quick_config(thresholds=(0.0, 0.0, 1.0))
 
+    def test_thresholds_must_print_apart(self):
+        # hist file names and CSV fields print nu as %.12g
+        with pytest.raises(ConfigError, match="both print as 1$"):
+            quick_config(thresholds=(0.0, 1.0, 1.0 + 1e-13))
+        assert quick_config(thresholds=(1.0000001, 1.0000002)).thresholds == (
+            1.0000001, 1.0000002)
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -137,6 +144,55 @@ class TestConfig:
         assert again == quick_result.config
         assert again.manifest_hash() == manifest["manifest_hash"]
         assert manifest["manifest_hash"] == quick_result.config.manifest_hash()
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(ens, "ProcessPoolExecutor", lambda max_workers: InProcessPool(
+            max_workers, sizes))
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [
+            (100_000, 64, [3]),  # never more processes than realizations
+            (100_000, 2, [2]),  # nor than CPUs
+            (2, 64, [2]),
+            (100_000, None, []),  # CPU count unknown: no pool
+            (1, 64, []),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, pool_sizes, workers, cpus, expected):
+        monkeypatch.setattr(ens.os, "cpu_count", lambda: cpus)
+        cfg = quick_config(side=32, L=32.0, n_realizations=3, thresholds=(0.0,))
+        result = run_ensemble(cfg, workers=workers)
+        assert pool_sizes == expected
+        serial = [ens._realize(cfg, i)["table"] for i in range(3)]
+        assert np.array_equal(np.stack(serial)[:, :, 0], result.stats["b0"])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one(self, pool_sizes, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_ensemble(quick_config(side=32, L=32.0, n_realizations=2), workers=workers)
+        assert pool_sizes == []
 
 
 class TestRunEnsemble:
@@ -447,6 +503,11 @@ class TestDualityCheck:
         summaries = [manual_summary(nu, 10.0, 10.0) for nu in (-1.0, 0.0, 0.5)]
         with pytest.raises(ConfigError):
             duality_check(summaries)
+
+    def test_symmetric_rule(self):
+        assert ens.symmetric((1.0, -1.0, 0.0))
+        assert ens.symmetric((-2.0, 2.0 + 1e-10))
+        assert not ens.symmetric((-1.0, 0.0, 0.5))
 
     def test_perfect_duality_passes(self):
         summaries = [manual_summary(nu, 10.0, 10.0) for nu in (-1.0, 0.0, 1.0)]
