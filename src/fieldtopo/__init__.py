@@ -18,8 +18,7 @@ from .ensemble import (
     check_mj_inequality,
     duality_check,
     expected_chi,
-    fit_binomial_high_nu,
-    fit_binomial_low_nu,
+    fit_binomial_chi,
     fit_binomial_moments,
     normality_trend,
     pdf_compare,
@@ -84,8 +83,7 @@ __all__ = [
     "eval_power",
     "excursion_mask",
     "expected_chi",
-    "fit_binomial_high_nu",
-    "fit_binomial_low_nu",
+    "fit_binomial_chi",
     "fit_binomial_moments",
     "generate",
     "generating_function",

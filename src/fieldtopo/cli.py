@@ -186,6 +186,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the files `ensemble` writes; a run first removes them from its output directory,
+#: so that none is left from an earlier run
+ENSEMBLE_OUTPUTS = (
+    "PARTIAL_OUTPUT", "manifest.json", "summary.csv", "fits.csv", "duality.csv", "hist_*.csv",
+)
+
+
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     run_cfg = parse_run_config(args.config)
     if args.workers is not None:
@@ -193,6 +200,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     config = run_cfg.config
     outdir = Path(args.output_dir or run_cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for pattern in ENSEMBLE_OUTPUTS:
+        for stale in outdir.glob(pattern):
+            stale.unlink()
     try:
         result = ens.run_ensemble(config, workers=run_cfg.workers)
         fits = ens.compute_fits(result)
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="grid side (power of two >= 32)")
     gen.add_argument("--boxsize", type=float, required=True)
     gen.add_argument("--rs", type=float, default=0.0, help="Gaussian smoothing length")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--dim", type=int, choices=(2, 3), default=2)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)

@@ -5,13 +5,14 @@
 work is scheduled) through generate (with the smoothing fused in) ->
 threshold -> hole spectrum, and folds the per-realization integer
 statistics into per-threshold summaries.  On top of the summaries sit the
-analytic Gaussian Euler characteristic, the Binomial moment inversions for
-the three threshold regimes, total-variation comparisons of empirical PMFs
-against Binomial and Gaussian models, and the duality and normality
-diagnostics.  Only `pdf_compare` needs ``scipy.stats`` (the Binomial PMF),
-and it imports it on its first call, so an ensemble of fewer than 100
-realizations never loads it.  Every CSV file of the package, the `sweep`
-table included, is written by `write_csv`; the other writers build rows.
+analytic Gaussian Euler characteristic, the Binomial moment inversions
+(`fit_binomial_chi` in both tails, `fit_binomial_moments` in between),
+total-variation comparisons of empirical PMFs against Binomial and Gaussian
+models, and the duality and normality diagnostics.  Only `pdf_compare`
+needs ``scipy.stats`` (the Binomial PMF), and it imports it on its first
+call, so an ensemble of fewer than 100 realizations never loads it.  Every
+CSV file of the package, the `sweep` table included, is written by
+`write_csv`; the other writers build rows.
 """
 
 from __future__ import annotations
@@ -489,68 +490,52 @@ class BinomialFit:
         return max(1, int(round(self.N_fit)))
 
 
-def _invert_moments(mu: float, variance: float) -> tuple[float, float, bool, str]:
-    """Solve mu = N p, variance = N p (1 - p) for (N, p).
+def _invert_moments(
+    mu: float, variance: float, nu: float, regime: str, statistic: str
+) -> BinomialFit:
+    """Solve mu = N p, variance = N p (1 - p) for (N, p); every fit is built here.
 
-    Returns (N, p, valid, note).  variance >= mu has no Binomial solution;
-    variance == mu is the Poisson limit, reported as a capped-N fit.
+    variance >= mu has no Binomial solution; variance == mu is the Poisson
+    limit, reported as a capped-N fit.
     """
+
+    def fit(n: float, p: float, valid: bool, note: str = "") -> BinomialFit:
+        return BinomialFit(
+            nu=nu, regime=regime, N_fit=n, p_fit=p, valid=valid, statistic=statistic, note=note
+        )
+
     if not mu > 0:
-        return 0.0, 0.0, False, "non-positive mean"
+        return fit(0.0, 0.0, False, "non-positive mean")
     if variance < 0:
-        return 0.0, 0.0, False, "negative variance"
+        return fit(0.0, 0.0, False, "negative variance")
     denom = mu - variance
     if denom < 0:
-        return 0.0, 0.0, False, "super-Poisson variance"
+        return fit(0.0, 0.0, False, "super-Poisson variance")
     if denom == 0 or mu * mu / denom > N_TRIALS_CAP:
-        n = N_TRIALS_CAP
-        return n, mu / n, True, "poisson-like (N capped)"
+        return fit(N_TRIALS_CAP, mu / N_TRIALS_CAP, True, "poisson-like (N capped)")
     n = mu * mu / denom
     if n < 1.0:
-        return n, mu / n if n > 0 else 0.0, False, "N below one trial"
-    return n, mu / n, True, ""
+        return fit(n, mu / n, False, "N below one trial")
+    return fit(n, mu / n, True)
 
 
-def fit_binomial_high_nu(
-    nu: float, sd_chi_num: float, r_c: float, area: float
-) -> BinomialFit:
-    """High-threshold fit: the analytic mean chi plays the role of N p.
+def fit_binomial_chi(nu: float, sd_chi_num: float, r_c: float, area: float) -> BinomialFit:
+    """Tail fit: the magnitude of the analytic mean chi plays the role of N p.
 
     At large positive nu the excursion set is dominated by simply connected
-    components, so chi ~ b0 ~ m_0 and the analytic mean chi combined with the
-    numerically measured sd of chi pins down (N, p).
+    components, so chi ~ b0 ~ m_0 (regime ``high_positive``).  At large
+    negative nu it tends to one multiply connected region and chi ~ -b1
+    (``low_negative``), the mirror image under f -> -f.  Either way
+    mu = area |rho_2(nu)| and the numerically measured sd of chi pin down
+    (N, p).
     """
-    if not nu > 0:
-        raise DomainError("high-threshold fit requires nu > 0")
+    if not (math.isfinite(nu) and nu != 0):
+        raise DomainError(f"the tail fit needs a finite nu != 0, got {nu}")
     if not sd_chi_num > 0:
         raise DomainError("sd_chi_num must be positive")
-    mu = area * analytic_chi_gaussian(nu, r_c)
-    n, p, valid, note = _invert_moments(mu, sd_chi_num * sd_chi_num)
-    return BinomialFit(
-        nu=nu, regime="high_positive", N_fit=n, p_fit=p, valid=valid,
-        statistic="chi", note=note,
-    )
-
-
-def fit_binomial_low_nu(
-    nu: float, sd_chi_num: float, r_c: float, area: float
-) -> BinomialFit:
-    """Low-threshold fit: mirror image of the high-threshold case.
-
-    At large negative nu the excursion set tends to one multiply connected
-    region and chi ~ -b1, so the magnitude of the analytic mean chi is
-    inverted with the same algebra.
-    """
-    if not nu < 0:
-        raise DomainError("low-threshold fit requires nu < 0")
-    if not sd_chi_num > 0:
-        raise DomainError("sd_chi_num must be positive")
-    mu = -area * analytic_chi_gaussian(nu, r_c)
-    n, p, valid, note = _invert_moments(mu, sd_chi_num * sd_chi_num)
-    return BinomialFit(
-        nu=nu, regime="low_negative", N_fit=n, p_fit=p, valid=valid,
-        statistic="chi", note=note,
-    )
+    mu = area * abs(analytic_chi_gaussian(nu, r_c))
+    regime = "high_positive" if nu > 0 else "low_negative"
+    return _invert_moments(mu, sd_chi_num * sd_chi_num, nu, regime, "chi")
 
 
 def fit_binomial_moments(
@@ -564,11 +549,7 @@ def fit_binomial_moments(
     """
     if not math.isfinite(mean):
         raise DomainError("mean must be finite")
-    n, p, valid, note = _invert_moments(mean, variance)
-    return BinomialFit(
-        nu=nu, regime="intermediate", N_fit=n, p_fit=p, valid=valid,
-        statistic=statistic, note=note,
-    )
+    return _invert_moments(mean, variance, nu, "intermediate", statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -602,21 +583,21 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
 
     lo = int(min(values.min(), math.floor(mean - 8 * sd), 0))
     hi = int(max(values.max(), math.ceil(mean + 8 * sd)))
-    use_binomial = fit is not None and fit.valid
-    if use_binomial:
-        hi = max(hi, fit.N_round)
     bins = np.arange(lo, hi + 1)
 
     pmf_emp = np.bincount(values - lo, minlength=bins.size) / values.size
 
     tv_binomial = None
-    if use_binomial:
+    if fit is not None and fit.valid:
         n_int = fit.N_round
         p_use = min(1.0, max(0.0, fit.N_fit * fit.p_fit / n_int))
         from scipy.stats import binom  # on first use: importing it would double start-up
 
         pmf_bin = binom.pmf(bins, n_int, p_use)
-        tv_binomial = float(0.5 * np.abs(pmf_emp - pmf_bin).sum())
+        # no sample lies above hi, so the Binomial mass there is all unmatched;
+        # lo <= 0, so none lies below
+        unmatched = binom.sf(hi, n_int, p_use)
+        tv_binomial = float(0.5 * (np.abs(pmf_emp - pmf_bin).sum() + unmatched))
 
     edges = np.concatenate([bins - 0.5, [bins[-1] + 0.5]])
     cdf = special.ndtr((edges - mean) / sd)
@@ -782,11 +763,10 @@ class FitRow:
 def compute_fits(result: EnsembleResult) -> list[FitRow]:
     """Produce the per-threshold fit table across the three regimes.
 
-    nu >= `REGIME_CUT`: analytic high-threshold inversion on chi, with the
-    measured r_c; nu <= -`REGIME_CUT`: the mirrored inversion on chi
-    (sampled as -chi); in between: method-of-moments fits for each
-    statistic.  TV distances are attached when there are enough
-    realizations for a PDF comparison.
+    |nu| >= `REGIME_CUT`: the analytic-mean inversion on chi, with the
+    measured r_c, sampled as -chi below zero; in between: method-of-moments
+    fits for each statistic.  TV distances are attached when there are
+    enough realizations for a PDF comparison.
     """
     r_c = result.r_c_measured
     area = result.area
@@ -794,14 +774,10 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     rows: list[FitRow] = []
     for summary in result.summaries:
         nu = summary.nu
-        if nu >= REGIME_CUT:
-            fit = fit_binomial_high_nu(nu, summary.sd_chi, r_c, area)
+        if abs(nu) >= REGIME_CUT:
+            fit = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
             samples = result.samples("chi", nu)
-            rows.append(_fit_row(fit, samples, enough))
-        elif nu <= -REGIME_CUT:
-            fit = fit_binomial_low_nu(nu, summary.sd_chi, r_c, area)
-            samples = -result.samples("chi", nu)
-            rows.append(_fit_row(fit, samples, enough))
+            rows.append(_fit_row(fit, samples if nu > 0 else -samples, enough))
         else:
             for stat in ("b0", "b1", "chi", "bsum"):
                 samples = result.samples(stat, nu)

@@ -113,8 +113,9 @@ def generate(
         Pixels per axis; must be a power of two >= 32.  A grid that numpy
         cannot allocate raises `DomainError`.
     L : float
-        Physical box size; finite and > 0.  A field that is not all finite
-        (the amplitude or side^d / L^d overflowed) raises `DomainError`.
+        Physical box size; finite and > 0.  A box whose volume L^d overflows
+        a float, or a field that is not all finite (the amplitude or
+        side^d / L^d overflowed), raises `DomainError`.
     dim : int
         2 or 3.
     seed : int or sequence of int
@@ -130,6 +131,10 @@ def generate(
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"box size must be finite and positive, got {L}")
     _check_rs(rs)
+    try:
+        volume = float(L) ** dim  # a Python float power: np.errstate does not cover it
+    except OverflowError as exc:
+        raise DomainError(f"the box volume L^{dim} overflows a float (L = {L})") from exc
 
     rng = np.random.default_rng(seed)
     try:
@@ -141,7 +146,7 @@ def generate(
         k2 = _k_squared(side, L, dim)
         gain = np.zeros_like(k2)
         live = k2 > 0
-        gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / L**dim)
+        gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / volume)
         gain *= np.exp(-0.5 * k2 * rs * rs)
         values = _filter(white, gain)
     if not np.isfinite(values).all():

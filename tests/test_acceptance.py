@@ -44,7 +44,7 @@ from fieldtopo import (
     enumerate_composition_states,
     enumerate_vector_states,
     expected_chi,
-    fit_binomial_high_nu,
+    fit_binomial_chi,
     fit_binomial_moments,
     normality_trend,
     pdf_compare,
@@ -336,7 +336,7 @@ def test_criterion_6_binomial_regimes(reference):
     fits = {}
     for nu in (3.0, 3.5):
         summary = reference.summary_at(nu)
-        fits[nu] = fit_binomial_high_nu(nu, summary.sd_chi, r_c, area)
+        fits[nu] = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
         if not fits[nu].valid:
             problems.append(f"fit at nu={nu} invalid")
     n_decreasing = fits[3.0].valid and fits[3.5].valid and fits[3.5].N_fit < fits[3.0].N_fit

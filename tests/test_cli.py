@@ -45,6 +45,13 @@ class TestGen:
             run_cli("gen", "--n", "64", "--boxsize", "64")
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "f.bin"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--n", "32", "--boxsize", "32", "--seed=-1", "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         args = ["gen", "--n", "32", "--boxsize", "32", "--seed", "3"]
@@ -67,6 +74,7 @@ class TestGen:
     @pytest.mark.parametrize(
         "flags",
         [["--boxsize", "nan"], ["--boxsize", "inf"], ["--boxsize", "1e-300"],
+         ["--boxsize", "1e308"], ["--boxsize", "1e200", "--dim", "3"],
          ["--boxsize", "32", "--amplitude", "1e308"]],
     )
     def test_non_finite_field_exits_4_without_dump(self, tmp_path, capsys, flags):
@@ -273,6 +281,24 @@ class TestEnsembleCommand:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out1 / "fits.csv").read_bytes() == (out2 / "fits.csv").read_bytes()
 
+    def test_reused_output_dir_holds_only_the_last_run(self, tmp_path):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("kept\n")
+        flat = tmp_path / "flat.cfg"
+        flat.write_text("amplitude = 0\nn = 32\nboxsize = 32\nthresholds = 0.5\n")
+        runs = [(flat, 4), (self.write_config(tmp_path, thresholds="-1 0 1"), 0),
+                (self.write_config(tmp_path, thresholds="0"), 0)]
+        for cfg, code in runs:
+            assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == code
+        written = {"manifest.json", "summary.csv", "fits.csv", "duality.csv",
+                   *(f"hist_{stat}_0.csv" for stat in ("b0", "b1", "b2", "chi", "bsum"))}
+        assert {p.name for p in outdir.iterdir()} == written | {"notes.txt"}
+        manifest_hash = json.loads((outdir / "manifest.json").read_text())["manifest_hash"]
+        for path in outdir.glob("*.csv"):
+            assert path.read_text().splitlines()[0] == f"# manifest_hash={manifest_hash}"
+        assert (outdir / "notes.txt").read_text() == "kept\n"
+
     def test_chi_fit_invalid_at_zero(self, tmp_path):
         cfg = self.write_config(tmp_path, n_real=20, thresholds="0")
         outdir = tmp_path / "zero"
@@ -317,6 +343,17 @@ class TestEnsembleCommand:
         assert not (outdir / "summary.csv").exists()
         err = capsys.readouterr().err
         assert "realization 0, seed (0, 0): the field is not finite" in err
+
+    def test_overflowing_box_volume_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 32\nboxsize = 1e200\nthresholds = -1 0 1\n")
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+        assert code == 4
+        assert not (outdir / "summary.csv").exists()
+        site = "realization 0, seed (0, 0): the box volume L^2 overflows a float (L = 1e+200)"
+        assert site in capsys.readouterr().err
+        assert site in (outdir / "PARTIAL_OUTPUT").read_text()
 
     def test_unallocatable_grid_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -503,3 +540,131 @@ class TestRunConfigParsing:
         cfg.write_text("just some words\n")
         with pytest.raises(ConfigError):
             parse_run_config(cfg)
+
+
+#: values a careless or hostile user may give any option or config key
+HOSTILE = ("nan", "inf", "-inf", "1e308", "1e-300", "-1", "0", "abc", "")
+
+
+def hostile_or(*valid: str, invalid: tuple[str, ...] = ()):
+    """One of ``valid`` or, about one draw in five, a hostile or ``invalid`` value."""
+    bad = (*invalid, *HOSTILE)
+    return st.sampled_from(valid * math.ceil(4 * len(bad) / len(valid)) + bad)
+
+
+#: fuzz values by config key, a few valid ones beside the hostile ones; no run
+#: gets a grid side other than 32 or 64, nor more than 3 realizations or 2 workers
+FUZZ_CONFIG_VALUES = {
+    "amplitude": hostile_or("1", "2.5"),
+    "alpha": hostile_or("0", "-1.5"),
+    "k_low_cutoff": hostile_or("none", "0.1"),
+    "k_high_cutoff": hostile_or("none", "2"),
+    "n": hostile_or("32", "64", invalid=("33", "32.0", "-32", "2**5")),
+    "boxsize": hostile_or("32", "64", "1e200"),
+    "dim": hostile_or("2", "3", "4"),
+    "rs": hostile_or("1", "2"),
+    "fwhm": hostile_or("3"),
+    "n_realizations": hostile_or("2", "3"),
+    "thresholds": st.one_of(
+        hostile_or("0", "-1 0 1", "-2.5 1", "1 2.5"),
+        st.lists(hostile_or("1", "-1"), min_size=2, max_size=3).map(" ".join),
+    ),
+    "master_seed": hostile_or("7"),
+    "sigma_mode": hostile_or("sample", "1.5"),
+    "output_dir": hostile_or("out"),
+    "workers": hostile_or("1", "2"),
+    "verbosity": hostile_or("1", "2"),
+}
+
+
+def config_line(key: str):
+    return FUZZ_CONFIG_VALUES[key].map(lambda value: f"{key} = {value}")
+
+
+#: a config text: exactly one grid side (an absent one would mean 256, or 256^3
+#: in 3D), then any lines, keys repeated or not, and some that are not key = value
+CONFIG_TEXT_FUZZ = st.tuples(
+    config_line("n"),
+    st.lists(
+        hostile_or(*sorted(set(FUZZ_CONFIG_VALUES) - {"n"})).flatmap(
+            lambda key: config_line(key) if key in FUZZ_CONFIG_VALUES else st.just(key)
+        ),
+        max_size=6,
+    ),
+).map(lambda parts: "\n".join([parts[0], *parts[1]]) + "\n")
+
+
+def options(**values):
+    """Any subset of the given options, each written ``--flag=value``."""
+    return st.fixed_dictionaries({}, optional=values).map(
+        lambda chosen: [f"--{flag.replace('_', '-')}={value}" for flag, value in chosen.items()]
+    )
+
+
+def switch(flag: str):
+    return st.sampled_from([[], [flag]])
+
+
+#: argv by subcommand; @DIR stands for the fuzz directory
+FUZZ_ARGV = {
+    "gen": st.tuples(
+        hostile_or("32", "64", invalid=("33", "32.0")).map(lambda n: [f"--n={n}"]),
+        hostile_or("32", "1e200").map(lambda box: [f"--boxsize={box}"]),
+        options(
+            amplitude=hostile_or("1"), alpha=hostile_or("-1.5"), klow=hostile_or("0.1"),
+            khigh=hostile_or("2"), rs=hostile_or("1"), seed=hostile_or("3"),
+            dim=hostile_or("2", "3"),
+        ),
+        st.just(["--out=@DIR/gen.bin"]),
+    ),
+    "sweep": st.tuples(
+        hostile_or("field.bin", "junk.bin", "missing.bin").map(lambda f: [f"--field=@DIR/{f}"]),
+        options(
+            nu_min=hostile_or("-1"), nu_max=hostile_or("1", "2"),
+            nu_step=hostile_or("0.5"), sigma_mode=hostile_or("sample", "1.5"),
+        ),
+        switch("--mask"),
+        st.just(["--out=@DIR/sweep.csv"]),
+    ),
+    "ensemble": st.tuples(
+        st.just(["--config=@DIR/run.cfg", "--output-dir=@DIR/out"]),
+        options(workers=hostile_or("1", "2")),
+    ),
+    "states": st.tuples(
+        hostile_or("2", "4", "12", "41").map(lambda b0: [f"--b0={b0}"]),
+        hostile_or("2", "4", "12", "41").map(lambda b1: [f"--b1={b1}"]),
+        options(jmax=hostile_or("1", "12")),
+        switch("--list"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen", "--n", "32", "--boxsize", "32", "--rs", "1",
+                 "--out", str(root / "field.bin")]) == 0
+    (root / "junk.bin").write_bytes(b"not a field dump")
+    return root
+
+
+class TestMainFuzz:
+    def test_every_config_key_is_fuzzed(self):
+        assert set(FUZZ_CONFIG_VALUES) == set(CONFIG_KEYS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(FUZZ_ARGV)),
+        data=st.data(),
+        config_text=CONFIG_TEXT_FUZZ,
+    )
+    def test_exits_with_a_documented_code(self, fuzz_dir, command, data, config_text):
+        # 0 ok, 2 usage or config, 3 I/O or format, 4 domain; never a traceback
+        (fuzz_dir / "run.cfg").write_text(config_text)
+        parts = data.draw(FUZZ_ARGV[command])
+        argv = [command] + [arg.replace("@DIR", str(fuzz_dir)) for part in parts for arg in part]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+        assert code in (0, 2, 3, 4)

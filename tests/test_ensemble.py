@@ -7,6 +7,10 @@ ensembles here are kept small.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +27,7 @@ from fieldtopo import (
     check_mj_inequality,
     duality_check,
     expected_chi,
-    fit_binomial_high_nu,
-    fit_binomial_low_nu,
+    fit_binomial_chi,
     fit_binomial_moments,
     normality_trend,
     pdf_compare,
@@ -404,7 +407,7 @@ class TestBinomialFits:
         r_c = 1.0
         nu = 1.0
         area = 16.0 / analytic_chi_gaussian(nu, r_c)
-        fit = fit_binomial_high_nu(nu, 2.0, r_c, area)
+        fit = fit_binomial_chi(nu, 2.0, r_c, area)
         assert fit.valid
         assert fit.N_fit == pytest.approx(16.0 * 16.0 / 12.0)
         assert fit.p_fit == pytest.approx(0.75)
@@ -413,7 +416,7 @@ class TestBinomialFits:
         r_c = 1.0
         nu = 1.0
         area = 16.0 / analytic_chi_gaussian(nu, r_c)
-        fit = fit_binomial_high_nu(nu, 4.0, r_c, area)  # sigma^2 == mu
+        fit = fit_binomial_chi(nu, 4.0, r_c, area)  # sigma^2 == mu
         assert fit.valid and fit.N_fit == N_TRIALS_CAP
         assert "poisson" in fit.note
         assert fit.p_fit == pytest.approx(16.0 / N_TRIALS_CAP)
@@ -422,26 +425,49 @@ class TestBinomialFits:
         r_c = 1.0
         nu = 1.0
         area = 16.0 / analytic_chi_gaussian(nu, r_c)
-        fit = fit_binomial_high_nu(nu, 5.0, r_c, area)
+        fit = fit_binomial_chi(nu, 5.0, r_c, area)
         assert not fit.valid
 
     def test_low_nu_mirrors_high(self):
         r_c, nu = 1.0, 1.5
         area = 100.0 / analytic_chi_gaussian(nu, r_c)
-        high = fit_binomial_high_nu(nu, 5.0, r_c, area)
-        low = fit_binomial_low_nu(-nu, 5.0, r_c, area)
+        high = fit_binomial_chi(nu, 5.0, r_c, area)
+        low = fit_binomial_chi(-nu, 5.0, r_c, area)
         assert low.N_fit == pytest.approx(high.N_fit)
         assert low.p_fit == pytest.approx(high.p_fit)
-        assert low.regime == "low_negative"
+        assert (high.regime, low.regime) == ("high_positive", "low_negative")
         # mu = 100, sigma^2 = 25: N = 400/3, p = 0.75
         assert low.N_fit == pytest.approx(400.0 / 3.0)
         assert low.p_fit == pytest.approx(0.75)
 
     def test_regime_preconditions(self):
+        for nu in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite nu != 0"):
+                fit_binomial_chi(nu, 1.0, 1.0, 100.0)
+
+    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
+    def test_non_positive_sd_rejected(self, sd):
         with pytest.raises(DomainError):
-            fit_binomial_high_nu(-1.0, 1.0, 1.0, 100.0)
-        with pytest.raises(DomainError):
-            fit_binomial_low_nu(1.0, 1.0, 1.0, 100.0)
+            fit_binomial_chi(1.0, sd, 1.0, 100.0)
+
+    def test_compute_fits_tails_and_middle(self):
+        result = run_ensemble(
+            quick_config(side=32, L=32.0, rs=1.0, n_realizations=100, thresholds=(-2.0, 0.0, 2.0)),
+            workers=1,
+        )
+        rows = ens.compute_fits(result)
+        assert [(r.fit.nu, r.fit.statistic, r.fit.regime) for r in rows] == [
+            (-2.0, "chi", "low_negative"),
+            *[(0.0, stat, "intermediate") for stat in ("b0", "b1", "chi", "bsum")],
+            (2.0, "chi", "high_positive"),
+        ]
+        for row, sign in [(rows[0], -1), (rows[-1], 1)]:
+            nu = row.fit.nu
+            fit = fit_binomial_chi(nu, result.summary_at(nu).sd_chi, result.r_c_measured,
+                                   result.area)
+            assert row.fit == fit
+            cmp = pdf_compare(sign * result.samples("chi", nu), fit if fit.valid else None)
+            assert (row.tv_binomial, row.tv_gaussian) == (cmp.tv_binomial, cmp.tv_gaussian)
 
     def test_moments_algebra(self):
         fit = fit_binomial_moments(8.0, 4.0)
@@ -476,6 +502,35 @@ class TestPdfCompare:
         fit = fit_binomial_moments(0.0, 1.0)
         cmp = pdf_compare(samples, fit if fit.valid else None)
         assert cmp.tv_binomial is None
+
+    def test_poisson_limit_fit_keeps_bins_at_the_data(self, tmp_path):
+        # the fit's N is N_TRIALS_CAP: bins up to N would take ~8 GB, so a child
+        # interpreter capped at 3 GiB of address space turns that into a MemoryError
+        code = f"""
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, ({3 << 30}, {3 << 30}))
+import numpy as np
+from scipy.stats import poisson
+from fieldtopo import fit_binomial_moments, pdf_compare
+samples = np.random.default_rng(5).poisson(5, 500)
+fit = fit_binomial_moments(5.0, 5.0)
+cmp = pdf_compare(samples, fit)
+hi = int(cmp.bins[-1])
+emp = np.bincount(samples, minlength=hi + 1) / samples.size
+tv = 0.5 * (np.abs(emp - poisson.pmf(np.arange(hi + 1), 5.0)).sum() + poisson.sf(hi, 5.0))
+print(json.dumps({{"N": fit.N_fit, "bins": len(cmp.bins), "tv": cmp.tv_binomial,
+                  "tv_poisson": float(tv)}}))
+"""
+        src = Path(ens.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["N"] == N_TRIALS_CAP and out["bins"] < 100
+        assert math.isfinite(out["tv"])
+        assert out["tv"] == pytest.approx(out["tv_poisson"], abs=1e-6)
 
     def test_needs_hundred_samples(self):
         with pytest.raises(DomainError):

@@ -95,6 +95,12 @@ class TestGenerate:
         with pytest.raises(DomainError, match="not finite"):
             generate(PowerSpectrumModel(amplitude=amplitude), 32, L, dim, seed=0)
 
+    @pytest.mark.parametrize("L, dim", [(1e308, 2), (1e200, 2), (1e150, 3)])
+    def test_overflowing_box_volume_rejected(self, L, dim):
+        # L**dim is a Python float power: it raises OverflowError, not a numpy warning
+        with pytest.raises(DomainError, match=rf"box volume L\^{dim} overflows"):
+            generate(FLAT, 32, L, dim, seed=0)
+
     @pytest.mark.parametrize("dim, rs", [(2, 0.0), (2, 2.0), (3, 0.0), (3, 2.0)])
     def test_values_are_contiguous_float64(self, dim, rs):
         f = generate(FLAT, 32, 32.0, dim, seed=1, rs=rs)
