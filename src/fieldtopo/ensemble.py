@@ -493,7 +493,7 @@ class BinomialFit:
 def _invert_moments(
     mu: float, variance: float, nu: float, regime: str, statistic: str
 ) -> BinomialFit:
-    """Solve mu = N p, variance = N p (1 - p) for (N, p); every fit is built here.
+    """Solve mu = N p, variance = N p (1 - p) for (N, p); every solved fit is built here.
 
     variance >= mu has no Binomial solution; variance == mu is the Poisson
     limit, reported as a capped-N fit.
@@ -534,8 +534,11 @@ def fit_binomial_chi(nu: float, sd_chi_num: float, r_c: float, area: float) -> B
     if not sd_chi_num > 0:
         raise DomainError("sd_chi_num must be positive")
     mu = area * abs(analytic_chi_gaussian(nu, r_c))
-    regime = "high_positive" if nu > 0 else "low_negative"
-    return _invert_moments(mu, sd_chi_num * sd_chi_num, nu, regime, "chi")
+    return _invert_moments(mu, sd_chi_num * sd_chi_num, nu, _tail_regime(nu), "chi")
+
+
+def _tail_regime(nu: float) -> str:
+    return "high_positive" if nu > 0 else "low_negative"
 
 
 def fit_binomial_moments(
@@ -764,9 +767,10 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     """Produce the per-threshold fit table across the three regimes.
 
     |nu| >= `REGIME_CUT`: the analytic-mean inversion on chi, with the
-    measured r_c, sampled as -chi below zero; in between: method-of-moments
-    fits for each statistic.  TV distances are attached when there are
-    enough realizations for a PDF comparison.
+    measured r_c, sampled as -chi below zero (a tail threshold where chi
+    never varies gets an invalid row noted "zero variance"); in between:
+    method-of-moments fits for each statistic.  TV distances are attached
+    when there are enough realizations for a PDF comparison.
     """
     r_c = result.r_c_measured
     area = result.area
@@ -775,7 +779,10 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     for summary in result.summaries:
         nu = summary.nu
         if abs(nu) >= REGIME_CUT:
-            fit = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
+            if summary.sd_chi > 0:
+                fit = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
+            else:  # chi took one value in every realization: nothing to invert
+                fit = BinomialFit(nu, _tail_regime(nu), 0.0, 0.0, False, "chi", "zero variance")
             samples = result.samples("chi", nu)
             rows.append(_fit_row(fit, samples if nu > 0 else -samples, enough))
         else:

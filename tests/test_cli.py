@@ -309,6 +309,20 @@ class TestEnsembleCommand:
         chi_rows = [r for r in rows if r[1] == "chi"]
         assert chi_rows and all(r[5] == "0" for r in chi_rows)
 
+    def test_constant_tail_chi_gives_a_flagged_row(self, tmp_path):
+        # chi has one value in all three realizations at nu = 3.5: no (N, p) to
+        # solve for, but the ensemble still writes every output
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("n = 32\nboxsize = 32\nrs = 3\nn_realizations = 3\n"
+                       "thresholds = 3.5\nmaster_seed = 1\n")
+        outdir = tmp_path / "tail"
+        assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == 0
+        summary = list(csv.DictReader((outdir / "summary.csv").read_text().splitlines()[1:]))
+        assert [row["sd_chi"] for row in summary] == ["0"]
+        fits = (outdir / "fits.csv").read_text().splitlines()[2:]
+        assert fits == ["3.5,chi,high_positive,0,0,0,,"]
+        assert not (outdir / "PARTIAL_OUTPUT").exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

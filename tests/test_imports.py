@@ -3,8 +3,8 @@
 `import fieldtopo` needs numpy, `scipy.ndimage` and `scipy.special`.  The
 Binomial PMF (`pdf_compare`, ensembles of 100 or more realizations) and the
 spectral quadrature (`spectral_moment`) load `scipy.stats` and
-`scipy.integrate` on first use, so `gen`, `sweep` and small ensembles never
-pay for them.  Each check runs in a fresh interpreter.
+`scipy.integrate` on first use, so `gen`, `sweep` and small ensembles, 2D
+and 3D, never pay for them.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -34,6 +34,9 @@ thresholds = -1 0 1
 workers = 1
 """
 
+#: the same ensemble in 3D, which counts components with `betti3d`
+CONFIG_3D = CONFIG + "dim = 3\n"
+
 
 def run_fresh(code: str, cwd: Path) -> dict:
     """Run ``code`` in a new interpreter; it prints one JSON object last."""
@@ -51,6 +54,7 @@ def run_fresh(code: str, cwd: Path) -> dict:
 
 def test_import_gen_and_small_ensemble_load_no_unused_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text(CONFIG)
+    (tmp_path / "run3d.cfg").write_text(CONFIG_3D)
     code = f"""
 import json, sys
 UNUSED = {UNUSED!r}
@@ -63,11 +67,14 @@ assert fieldtopo.cli.main(["gen", "--n", "32", "--boxsize", "32", "--out", "f.bi
 steps["gen"] = loaded()
 assert fieldtopo.cli.main(["ensemble", "--config", "run.cfg", "--output-dir", "out"]) == 0
 steps["ensemble"] = loaded()
+assert fieldtopo.cli.main(["ensemble", "--config", "run3d.cfg", "--output-dir", "out3d"]) == 0
+steps["ensemble3d"] = loaded()
 print(json.dumps(steps))
 """
     steps = run_fresh(code, tmp_path)
-    assert steps == {"import": [], "gen": [], "ensemble": []}
+    assert steps == {"import": [], "gen": [], "ensemble": [], "ensemble3d": []}
     assert (tmp_path / "out" / "summary.csv").exists()
+    assert json.loads((tmp_path / "out3d" / "manifest.json").read_text())["dim"] == 3
 
 
 def test_lazily_loaded_functions_work_from_a_fresh_interpreter(tmp_path):
