@@ -9,8 +9,9 @@ analytic Gaussian Euler characteristic, the Binomial moment inversions
 (`fit_binomial_chi` in both tails, `fit_binomial_moments` in between),
 total-variation comparisons of empirical PMFs against Binomial and Gaussian
 models, and the duality and normality diagnostics.  Only `pdf_compare`
-needs ``scipy.stats`` (the Binomial PMF), and it imports it on its first
-call, so an ensemble of fewer than 100 realizations never loads it.  Every
+needs ``scipy.stats`` (the Binomial PMF), and only it and `expected_chi`
+need ``scipy.special`` (``ndtr``).  They import them on their first call, so
+an ensemble of fewer than 100 realizations loads neither.  Every
 CSV file of the package, the `sweep` table included, is written by
 `write_csv`; the other writers build rows.
 """
@@ -29,7 +30,6 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 import scipy
-from scipy import special
 
 from .errors import ConfigError, DomainError, FieldtopoError
 from .grf import generate, sample_moments
@@ -419,7 +419,9 @@ def expected_chi(nu: float, r_c: float, L: float) -> float:
         raise DomainError("window side L must be positive and finite")
     rho2 = analytic_chi_gaussian(nu, r_c)
     rho1 = math.exp(-0.5 * nu * nu) / (2.0 * math.sqrt(2.0) * math.pi * r_c)
-    return L * L * rho2 + 2.0 * L * rho1 + float(special.ndtr(-nu))
+    from scipy.special import ndtr  # on first use, like `binom` in `pdf_compare`
+
+    return L * L * rho2 + 2.0 * L * rho1 + float(ndtr(-nu))
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +604,10 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
         unmatched = binom.sf(hi, n_int, p_use)
         tv_binomial = float(0.5 * (np.abs(pmf_emp - pmf_bin).sum() + unmatched))
 
+    from scipy.special import ndtr  # on first use, like `binom`: import loads no scipy submodule
+
     edges = np.concatenate([bins - 0.5, [bins[-1] + 0.5]])
-    cdf = special.ndtr((edges - mean) / sd)
+    cdf = ndtr((edges - mean) / sd)
     pmf_gauss = np.diff(cdf)
     tv_gaussian = float(0.5 * np.abs(pmf_emp - pmf_gauss).sum())
 

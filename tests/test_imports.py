@@ -1,10 +1,11 @@
 """Import budget: a run loads only the scipy submodules it uses.
 
-`import fieldtopo` needs numpy, `scipy.ndimage` and `scipy.special`.  The
-Binomial PMF (`pdf_compare`, ensembles of 100 or more realizations) and the
-spectral quadrature (`spectral_moment`) load `scipy.stats` and
-`scipy.integrate` on first use, so `gen`, `sweep` and small ensembles, 2D
-and 3D, never pay for them.  Each check runs in a fresh interpreter.
+`import fieldtopo` needs numpy and no scipy submodule.  The normal CDF
+(`expected_chi`, `pdf_compare`), the Binomial PMF (`pdf_compare`, ensembles
+of 100 or more realizations) and the spectral quadrature (`spectral_moment`)
+load `scipy.special`, `scipy.stats` and `scipy.integrate` on first use, so
+`gen`, `sweep` and small ensembles, 2D and 3D, never pay for them.  No
+route loads `scipy.ndimage`.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -17,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: submodules that no import, `gen` or sub-100-realization ensemble may load
 UNUSED = (
+    "scipy.ndimage",
+    "scipy.special",
     "scipy.stats",
     "scipy.integrate",
     "scipy.optimize",
@@ -81,15 +84,20 @@ def test_lazily_loaded_functions_work_from_a_fresh_interpreter(tmp_path):
     code = """
 import json
 import numpy as np
-from fieldtopo import PowerSpectrumModel, fit_binomial_moments, pdf_compare, spectral_moment
+from fieldtopo import (
+    PowerSpectrumModel, expected_chi, fit_binomial_moments, pdf_compare, spectral_moment,
+)
 samples = np.random.default_rng(3).binomial(20, 0.3, size=100)
 fit = fit_binomial_moments(float(samples.mean()), float(samples.var(ddof=1)))
 cmp = pdf_compare(samples, fit)
 s0 = spectral_moment(PowerSpectrumModel(1.0), 0, 2.0, 0.0, float("inf"), 2)
-print(json.dumps({"valid": fit.valid, "tv_binomial": cmp.tv_binomial, "s0": s0}))
+chi = expected_chi(0.0, 1.0, 10.0)
+print(json.dumps({"valid": fit.valid, "tv_binomial": cmp.tv_binomial, "s0": s0, "chi": chi}))
 """
     out = run_fresh(code, tmp_path)
     assert out["valid"]
+    # at nu = 0 the area term vanishes: 2 L rho_1(0) + 1 - Phi(0)
+    assert abs(out["chi"] - (10.0 / (2**0.5 * 3.141592653589793) + 0.5)) < 1e-12
     assert 0.0 <= out["tv_binomial"] < 0.3
     # flat spectrum, Gaussian window: sigma0^2 = 1 / (4 pi rs^2)
     assert abs(out["s0"] * 16.0 * 3.141592653589793 - 1.0) < 1e-7

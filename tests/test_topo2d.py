@@ -4,8 +4,10 @@ The fixtures are the canonical small spaces: a solid block (one component,
 no holes), an annulus (one hole), a block with two separated holes, and
 nested annuli, with hand-counted cell complexes as independent oracles.
 `two_labeling_spectrum` is an independent route to {m_j} and the background
-count (label the background too and give each hole to the component above
-its first pixel); `hole_spectrum` is checked against it.
+count (label the foreground and the background with `ndimage.label`, drop
+the background labels that `touches_frame`, and give each hole to the
+component above its first pixel); `hole_spectrum`, which labels no pixel,
+is checked against it.
 """
 
 import itertools
@@ -32,7 +34,6 @@ from fieldtopo import (
 )
 from fieldtopo.errors import DegenerateFieldError, DomainError
 from fieldtopo.grf import FieldGrid
-from fieldtopo.topo2d import touches_frame
 
 
 def mask_of(array) -> ExcursionMask:
@@ -198,6 +199,47 @@ class TestHoleSpectrum:
         assert hs.n_background == 3  # two holes and the exterior
 
 
+REFERENCE_THRESHOLDS = np.linspace(-3.5, 3.5, 15)
+
+
+def touches_frame(labels: np.ndarray, n: int) -> np.ndarray:
+    """Which of the labels 0..n some face of the frame touches, one bool each (2D or 3D)."""
+    touched = np.zeros(n + 1, dtype=bool)
+    for axis in range(labels.ndim):
+        touched[np.take(labels, [0, -1], axis=axis)] = True
+    return touched
+
+
+class TestTouchesFrame:
+    def test_annulus_hole_is_enclosed(self):
+        bits = block((3, 3), canvas=(5, 5))
+        bits[2, 2] = False
+        labels, n = ndimage.label(~bits)
+        touched = touches_frame(labels, n)
+        assert n == 2 and touched.shape == (3,)
+        assert not touched[labels[2, 2]] and touched[labels[0, 0]]
+        assert not touched[0]  # the foreground (label 0 here) stays off the frame
+
+    def test_every_face_of_the_frame_is_exterior(self):
+        # a background piece touching only one face is exterior, in 2D and 3D
+        for shape in ((6, 7), (5, 6, 7)):
+            bits = np.ones(shape, dtype=bool)
+            for axis in range(len(shape)):
+                for end in (0, -1):
+                    probe = bits.copy()
+                    index = [s // 2 for s in shape]
+                    index[axis] = end
+                    probe[tuple(index)] = False
+                    labels, n = ndimage.label(~probe)
+                    assert n == 1 and touches_frame(labels, n).tolist() == [True, True]
+
+    def test_3d_cavity_is_enclosed(self):
+        bits = np.ones((3, 3, 3), dtype=bool)
+        bits[1, 1, 1] = False
+        labels, n = ndimage.label(~bits)
+        assert n == 1 and touches_frame(labels, n).tolist() == [True, False]
+
+
 def two_labeling_spectrum(bits) -> tuple[dict[int, int], int]:
     """{m_j} and the background count by labeling foreground and background.
 
@@ -209,10 +251,8 @@ def two_labeling_spectrum(bits) -> tuple[dict[int, int], int]:
     """
     fg_labels, n_fg = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
     bg_labels, n_bg = ndimage.label(~bits)
-    is_hole = np.ones(n_bg + 1, dtype=bool)
+    is_hole = ~touches_frame(bg_labels, n_bg)
     is_hole[0] = False
-    for axis in range(2):
-        is_hole[np.take(bg_labels, [0, -1], axis=axis)] = False
     labels_seen, first_idx = np.unique(bg_labels.ravel(), return_index=True)
     owners = fg_labels.ravel()[first_idx[is_hole[labels_seen]] - bits.shape[1]]
     assert owners.all(), "the pixel above a hole's first pixel must be foreground"
@@ -255,8 +295,39 @@ class TestAgainstTwoLabelingOracle:
         # the masks of the acceptance reference: 512^2, rs = 4, 15 thresholds
         for index in range(3):
             field = generate(PowerSpectrumModel(1.0), 512, 512.0, 2, seed=(20250801, index), rs=4.0)
-            for nu in np.linspace(-3.5, 3.5, 15):
+            for nu in REFERENCE_THRESHOLDS:
                 self.check(excursion_mask(field, nu).bits)
+
+    def test_white_noise_masks(self):
+        # rs = 0: the most runs per row and the most holes per component
+        field = generate(PowerSpectrumModel(1.0), 512, 512.0, 2, seed=20250801, rs=0.0)
+        for nu in REFERENCE_THRESHOLDS:
+            self.check(excursion_mask(field, nu).bits)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_checkerboard(self, parity):
+        # every contact is diagonal: each one-pixel run meets two runs in each neighbour row
+        bits = np.indices((64, 64)).sum(axis=0) % 2 == parity
+        # one component; each clear pixel off the frame is a hole, half of the 62^2 inner ones
+        assert hole_spectrum(mask_of(bits)).counts == {62 * 62 // 2: 1}
+        self.check(bits)
+
+    @pytest.mark.parametrize("side", [63, 64])
+    def test_diagonal_x(self, side):
+        # two one-pixel diagonals crossing: every run touches the next row at a corner only
+        bits = np.eye(side, dtype=bool) | np.eye(side, dtype=bool)[::-1]
+        assert hole_spectrum(mask_of(bits)).counts == {0: 1}
+        self.check(bits)
+
+    def test_no_pixel_labeling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hole_spectrum labeled pixels")
+
+        bits = block((3, 5))
+        bits[1, 1] = bits[1, 3] = False
+        monkeypatch.setattr(ndimage, "label", refuse)
+        hs = hole_spectrum(mask_of(bits))
+        assert (hs.counts, hs.n_background) == ({2: 1}, 2)
 
 
 class TestBackgroundCount:
@@ -395,36 +466,6 @@ def cell_oracle_chi(bits) -> int:
             corners = tuple(itertools.product(*choice))
             cells[sum(len(c) == 2 for c in choice)].add(corners)
     return sum((-1) ** k * len(found) for k, found in enumerate(cells))
-
-
-class TestTouchesFrame:
-    def test_annulus_hole_is_enclosed(self):
-        bits = block((3, 3), canvas=(5, 5))
-        bits[2, 2] = False
-        labels, n = ndimage.label(~bits)
-        touched = touches_frame(labels, n)
-        assert n == 2 and touched.shape == (3,)
-        assert not touched[labels[2, 2]] and touched[labels[0, 0]]
-        assert not touched[0]  # the foreground (label 0 here) stays off the frame
-
-    def test_every_face_of_the_frame_is_exterior(self):
-        # a background piece touching only one face is exterior, in 2D and 3D
-        for shape in ((6, 7), (5, 6, 7)):
-            bits = np.ones(shape, dtype=bool)
-            for axis in range(len(shape)):
-                for end in (0, -1):
-                    probe = bits.copy()
-                    index = [s // 2 for s in shape]
-                    index[axis] = end
-                    probe[tuple(index)] = False
-                    labels, n = ndimage.label(~probe)
-                    assert n == 1 and touches_frame(labels, n).tolist() == [True, True]
-
-    def test_3d_cavity_is_enclosed(self):
-        bits = np.ones((3, 3, 3), dtype=bool)
-        bits[1, 1, 1] = False
-        labels, n = ndimage.label(~bits)
-        assert n == 1 and touches_frame(labels, n).tolist() == [True, False]
 
 
 class TestGeneratingFunction:
