@@ -44,16 +44,16 @@ print(f"\n{'nu':>5} {'<chi>':>9} {'area formula':>13} {'with boundary':>14} "
       f"{'cov(b0,b1)':>11} {'sd_chi':>7} {'sd_bsum':>8}")
 for s in result.summaries:
     analytic = analytic_chi_gaussian(s.nu, r_c) * area
-    print(f"{s.nu:5.1f} {s.mean_chi:9.2f} {analytic:13.2f} "
+    print(f"{s.nu:5.1f} {s.mean['chi']:9.2f} {analytic:13.2f} "
           f"{expected_chi(s.nu, r_c, L):14.2f} {s.cov_b0b1:11.3f} "
-          f"{s.sd_chi:7.2f} {s.sd_bsum:8.2f}")
+          f"{s.sd['chi']:7.2f} {s.sd['bsum']:8.2f}")
 
 print("\nnegative cov(b0,b1) makes sd_chi the widest and sd_bsum the "
       "narrowest of the four statistics:")
 s = result.summary_at(0.0)
-quad = math.hypot(s.sd_b0, s.sd_b1)
-print(f"  at nu=0: sd_chi={s.sd_chi:.2f} > sqrt(sd_b0^2+sd_b1^2)={quad:.2f} "
-      f"> sd_bsum={s.sd_bsum:.2f}")
+quad = math.hypot(s.sd['b0'], s.sd['b1'])
+print(f"  at nu=0: sd_chi={s.sd['chi']:.2f} > sqrt(sd_b0^2+sd_b1^2)={quad:.2f} "
+      f"> sd_bsum={s.sd['bsum']:.2f}")
 
 report = check_mj_inequality(s)
 print(f"\nm_j inequality at nu=0: total = {report.total_sum:.1f} "

@@ -180,8 +180,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         bits = field.values > 0.5
         rows.append(_sweep_row(ExcursionMask(bits=bits, nu=math.nan, sigma_used=math.nan)))
     else:
+        # "sample" resolved once here; `excursion_mask` would recompute it per threshold
+        sigma = float(field.values.std()) if sigma_mode == "sample" else sigma_mode
         for nu in _sweep_thresholds(args.nu_min, args.nu_max, args.nu_step):
-            rows.append(_sweep_row(excursion_mask(field, float(nu), sigma_mode)))
+            rows.append(_sweep_row(excursion_mask(field, float(nu), sigma)))
     ens.write_csv(args.out, SWEEP_COLUMNS, rows)
     return 0
 

@@ -48,6 +48,10 @@ from .topo3d import betti3d
 
 STAT_NAMES = ("b0", "b1", "b2", "chi", "bsum")
 
+#: the statistics that `summary.csv`, the intermediate-regime fits and
+#: `normality_trend` report
+STATISTICS = ("b0", "b1", "chi", "bsum")
+
 #: columns of the per-realization table, one row per threshold: the Betti
 #: statistics, the largest j with m_j > 0, the closed-cell chi and the
 #: background component count
@@ -63,6 +67,10 @@ DUALITY_SYSTEMATIC = 0.02
 
 #: |nu| at and beyond which `compute_fits` uses the analytic chi inversions
 REGIME_CUT = 2.0
+
+#: fewest samples `pdf_compare` takes, so the ensemble size from which
+#: `compute_fits` attaches TV distances
+MIN_PDF_SAMPLES = 100
 
 #: how a float prints in a CSV field and in a hist file name
 FLOAT_FORMAT = ".12g"
@@ -166,31 +174,23 @@ def config_from_manifest(manifest: dict) -> EnsembleConfig:
 class ThresholdSummary:
     """Ensemble moments of the topological statistics at one threshold.
 
-    ``mean_bg``/``sd_bg`` are the moments of the background component count
-    (holes plus frame-cut exterior pieces), the dual partner of b0 at -nu.
+    ``mean`` and ``sd`` (ddof 1) are keyed by statistic: each of `STAT_NAMES`
+    and ``"bg"``, the background component count (holes plus frame-cut
+    exterior pieces), the dual partner of b0 at -nu.
     """
 
     nu: float
     n_realizations: int
-    mean_b0: float
-    mean_b1: float
-    mean_chi: float
-    mean_bsum: float
-    sd_b0: float
-    sd_b1: float
-    sd_chi: float
-    sd_bsum: float
+    mean: dict[str, float]
+    sd: dict[str, float]
     cov_b0b1: float
-    mean_bg: float
-    sd_bg: float
     mean_mj: dict[int, float] = dataclass_field(default_factory=dict)
     var_mj: dict[int, float] = dataclass_field(default_factory=dict)
     histograms: dict[str, dict[int, int]] = dataclass_field(default_factory=dict)
 
     def se(self, stat: str) -> float:
         """Standard error of the ensemble mean of ``stat``."""
-        sd = getattr(self, f"sd_{stat}")
-        return sd / math.sqrt(self.n_realizations)
+        return self.sd[stat] / math.sqrt(self.n_realizations)
 
 
 @dataclass
@@ -314,12 +314,7 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
 
     summaries = []
     for t, nu in enumerate(config.thresholds):
-        b0 = stats["b0"][:, t].astype(float)
-        b1 = stats["b1"][:, t].astype(float)
-        chi = stats["chi"][:, t].astype(float)
-        bsum = stats["bsum"][:, t].astype(float)
-        bg = stats["bg"][:, t].astype(float)
-        cov = float(np.cov(b0, b1)[0, 1])
+        x = {name: stats[name][:, t].astype(float) for name in (*STAT_NAMES, "bg")}
         mjt = mj_tables[t]
         mean_mj = {j: float(m) for j, m in enumerate(mjt.mean(axis=0)) if m > 0}
         var_mj = {
@@ -335,17 +330,9 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
             ThresholdSummary(
                 nu=nu,
                 n_realizations=n,
-                mean_b0=float(b0.mean()),
-                mean_b1=float(b1.mean()),
-                mean_chi=float(chi.mean()),
-                mean_bsum=float(bsum.mean()),
-                sd_b0=float(b0.std(ddof=1)),
-                sd_b1=float(b1.std(ddof=1)),
-                sd_chi=float(chi.std(ddof=1)),
-                sd_bsum=float(bsum.std(ddof=1)),
-                cov_b0b1=cov,
-                mean_bg=float(bg.mean()),
-                sd_bg=float(bg.std(ddof=1)),
+                mean={name: float(v.mean()) for name, v in x.items()},
+                sd={name: float(v.std(ddof=1)) for name, v in x.items()},
+                cov_b0b1=float(np.cov(x["b0"], x["b1"])[0, 1]),
                 mean_mj=mean_mj,
                 var_mj=var_mj,
                 histograms=histograms,
@@ -579,8 +566,8 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
     integer with p rescaled to preserve the fitted mean N p.
     """
     samples = np.asarray(samples)
-    if samples.size < 100:
-        raise DomainError("pdf_compare needs at least 100 samples")
+    if samples.size < MIN_PDF_SAMPLES:
+        raise DomainError(f"pdf_compare needs at least {MIN_PDF_SAMPLES} samples")
     values = np.rint(samples).astype(np.int64)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
@@ -658,9 +645,9 @@ def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:
     rows = []
     for i, s_pos in enumerate(summaries):
         s_neg = summaries[len(summaries) - 1 - i]  # summary at -nu
-        diff = s_pos.mean_b0 - s_neg.mean_bg
+        diff = s_pos.mean["b0"] - s_neg.mean["bg"]
         se = math.hypot(s_pos.se("b0"), s_neg.se("bg"))
-        scale = max(abs(s_pos.mean_b0), abs(s_neg.mean_bg))
+        scale = max(abs(s_pos.mean["b0"]), abs(s_neg.mean["bg"]))
         systematic = DUALITY_SYSTEMATIC * scale
         flag = ""
         if s_pos.n_realizations < 2:
@@ -677,8 +664,8 @@ def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:
         rows.append(
             DualityRow(
                 nu=s_pos.nu,
-                mean_b0=s_pos.mean_b0,
-                mean_bg_mirror=s_neg.mean_bg,
+                mean_b0=s_pos.mean["b0"],
+                mean_bg_mirror=s_neg.mean["bg"],
                 diff=diff,
                 se_combined=se,
                 systematic=systematic,
@@ -702,7 +689,7 @@ class NormalityRow:
 
 
 def normality_trend(
-    results: Sequence[EnsembleResult], statistics: Sequence[str] = ("b0", "b1", "chi", "bsum")
+    results: Sequence[EnsembleResult], statistics: Sequence[str] = STATISTICS
 ) -> list[NormalityRow]:
     """Track skewness and excess kurtosis across grid sizes.
 
@@ -778,19 +765,19 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     """
     r_c = result.r_c_measured
     area = result.area
-    enough = result.config.n_realizations >= 100
+    enough = result.config.n_realizations >= MIN_PDF_SAMPLES
     rows: list[FitRow] = []
     for summary in result.summaries:
         nu = summary.nu
         if abs(nu) >= REGIME_CUT:
-            if summary.sd_chi > 0:
-                fit = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
+            if summary.sd["chi"] > 0:
+                fit = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
             else:  # chi took one value in every realization: nothing to invert
                 fit = BinomialFit(nu, _tail_regime(nu), 0.0, 0.0, False, "chi", "zero variance")
             samples = result.samples("chi", nu)
             rows.append(_fit_row(fit, samples if nu > 0 else -samples, enough))
         else:
-            for stat in ("b0", "b1", "chi", "bsum"):
+            for stat in STATISTICS:
                 samples = result.samples(stat, nu)
                 fit = fit_binomial_moments(
                     float(samples.mean()),
@@ -817,13 +804,16 @@ def write_csv(path: str | Path, columns, rows, manifest_hash: str | None = None)
     """Write one CSV file; every CSV of the package goes through here.
 
     An optional ``# manifest_hash=`` line, the header, then one line per row.
-    A float prints as ``%.12g``, None as an empty field, anything else with
-    `str`; a field holding a comma or a double quote is quoted (RFC 4180).
+    A float prints as ``%.12g``, a bool as 0 or 1, None as an empty field,
+    anything else with `str`; a field holding a comma or a double quote is
+    quoted (RFC 4180).
     """
 
     def text(value) -> str:
         if value is None:
             return ""
+        if isinstance(value, bool):
+            value = int(value)
         out = format(value, FLOAT_FORMAT) if isinstance(value, float) else str(value)
         if "," in out or '"' in out:
             out = '"' + out.replace('"', '""') + '"'
@@ -838,18 +828,17 @@ def write_summary_csv(result: EnsembleResult, path: str | Path) -> None:
     """Write per-threshold moments; body is deterministic for a given manifest."""
     cols = [
         "nu", "n", "area",
-        "mean_b0", "mean_b1", "mean_chi", "mean_bsum",
-        "sd_b0", "sd_b1", "sd_chi", "sd_bsum", "cov_b0b1",
-        "mean_b0_per_area", "mean_b1_per_area", "mean_chi_per_area",
-        "mean_bsum_per_area",
+        *(f"mean_{stat}" for stat in STATISTICS),
+        *(f"sd_{stat}" for stat in STATISTICS), "cov_b0b1",
+        *(f"mean_{stat}_per_area" for stat in STATISTICS),
     ]
     area = result.area
     rows = [
         [
             s.nu, s.n_realizations, area,
-            s.mean_b0, s.mean_b1, s.mean_chi, s.mean_bsum,
-            s.sd_b0, s.sd_b1, s.sd_chi, s.sd_bsum, s.cov_b0b1,
-            s.mean_b0 / area, s.mean_b1 / area, s.mean_chi / area, s.mean_bsum / area,
+            *(s.mean[stat] for stat in STATISTICS),
+            *(s.sd[stat] for stat in STATISTICS), s.cov_b0b1,
+            *(s.mean[stat] / area for stat in STATISTICS),
         ]
         for s in result.summaries
     ]
@@ -869,19 +858,15 @@ def write_fits_csv(rows: Sequence[FitRow], path: str | Path, manifest_hash: str)
     cols = ["nu", "statistic", "regime", "N", "p", "valid", "tv_binomial", "tv_gaussian"]
     write_csv(path, cols, [
         [r.fit.nu, r.fit.statistic, r.fit.regime, r.fit.N_fit, r.fit.p_fit,
-         int(r.fit.valid), r.tv_binomial, r.tv_gaussian]
+         r.fit.valid, r.tv_binomial, r.tv_gaussian]
         for r in rows
     ], manifest_hash)
 
 
 def write_duality_csv(rows: Sequence[DualityRow], path: str | Path, manifest_hash: str) -> None:
-    cols = ["nu", "mean_b0", "mean_bg_mirror", "diff", "se_combined", "systematic", "z", "ok",
-            "flag"]
-    write_csv(path, cols, [
-        [r.nu, r.mean_b0, r.mean_bg_mirror, r.diff, r.se_combined, r.systematic, r.z,
-         int(r.ok), r.flag]
-        for r in rows
-    ], manifest_hash)
+    """One column per `DualityRow` field, in field order."""
+    cols = [f.name for f in fields(DualityRow)]
+    write_csv(path, cols, [[getattr(r, c) for c in cols] for r in rows], manifest_hash)
 
 
 def _environment() -> dict[str, str]:

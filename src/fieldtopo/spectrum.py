@@ -172,10 +172,9 @@ def spectral_moment(
     coef = 1.0 / (2.0 * math.pi**2) if dim == 3 else 1.0 / (2.0 * math.pi)
     amp = model.amplitude
     rs2 = rs * rs
-    exponent = dim - 1 + 2 * n + model.alpha
 
     def integrand(k: float) -> float:
-        return amp * k**exponent * math.exp(-k * k * rs2)
+        return amp * k**p * math.exp(-k * k * rs2)
 
     from scipy import integrate  # loaded on first use: the ensemble path never integrates
 

@@ -55,9 +55,7 @@ def count_states_formula(n0: int, n1: int) -> int:
         return 1
     if n0 == n1:
         return n0
-    if n0 > n1:
-        return sum(comb(n1 - 1, k - 1) for k in range(1, n1 + 1))
-    return sum(comb(n1 - 1, k - 1) for k in range(1, n0 + 1))
+    return sum(comb(n1 - 1, k - 1) for k in range(1, min(n0, n1) + 1))
 
 
 def enumerate_vector_states(

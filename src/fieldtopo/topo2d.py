@@ -50,10 +50,6 @@ class ExcursionMask:
     def dim(self) -> int:
         return self.bits.ndim
 
-    @property
-    def side(self) -> int:
-        return self.bits.shape[0]
-
 
 @dataclass
 class HoleSpectrum:
@@ -89,7 +85,7 @@ class HoleSpectrum:
 
 @dataclass
 class TopoStats:
-    """Betti numbers, Euler characteristic and their sum at one threshold.
+    """Betti numbers at one threshold; chi and bsum are their alternating and plain sums.
 
     ``n_background`` carries the background component count of the mask
     (see `HoleSpectrum`) when it was measured.
@@ -98,16 +94,16 @@ class TopoStats:
     b0: int
     b1: int
     b2: int
-    chi: int
-    bsum: int
     nu: float
     n_background: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.chi != self.b0 - self.b1 + self.b2:
-            raise DomainError("chi must equal b0 - b1 + b2")
-        if self.bsum != self.b0 + self.b1 + self.b2:
-            raise DomainError("bsum must equal b0 + b1 + b2")
+    @property
+    def chi(self) -> int:
+        return self.b0 - self.b1 + self.b2
+
+    @property
+    def bsum(self) -> int:
+        return self.b0 + self.b1 + self.b2
 
 
 def excursion_mask(field: FieldGrid, nu: float, sigma_mode="sample") -> ExcursionMask:
@@ -243,9 +239,7 @@ def topo_stats_from_spectrum(hs: HoleSpectrum) -> TopoStats:
     """Betti numbers and friends as weighted sums over the spectrum."""
     b0 = sum(hs.counts.values())
     b1 = sum(j * m for j, m in hs.counts.items())
-    return TopoStats(
-        b0=b0, b1=b1, b2=0, chi=b0 - b1, bsum=b0 + b1, nu=hs.nu, n_background=hs.n_background
-    )
+    return TopoStats(b0=b0, b1=b1, b2=0, nu=hs.nu, n_background=hs.n_background)
 
 
 def euler_closed_cell(mask: ExcursionMask) -> int:
@@ -291,8 +285,6 @@ def betti_from_h(hs: HoleSpectrum) -> TopoStats:
     b0 = h(0), b1 = -h'(0), chi = h(0) + h'(0), bsum = h(0) - h'(0).
     """
     h, dh = generating_function(hs, 0.0)
-    b0 = int(round(h))
-    b1 = int(round(-dh))
     return TopoStats(
-        b0=b0, b1=b1, b2=0, chi=b0 - b1, bsum=b0 + b1, nu=hs.nu, n_background=hs.n_background
+        b0=int(round(h)), b1=int(round(-dh)), b2=0, nu=hs.nu, n_background=hs.n_background
     )

@@ -111,10 +111,10 @@ def test_criterion_1_analytic_chi(reference):
         if not 0.5 <= abs(nu) <= 2.0:
             continue
         predicted = expected_chi(nu, r_c, L)
-        rel = (summary.mean_chi - predicted) / abs(predicted)
+        rel = (summary.mean["chi"] - predicted) / abs(predicted)
         worst = max(worst, abs(rel))
         tol = max(0.05 * abs(predicted), 3.0 * summary.se("chi"))
-        if abs(summary.mean_chi - predicted) > tol:
+        if abs(summary.mean["chi"] - predicted) > tol:
             failures.append(f"nu={nu:+.1f}: rel={rel:+.1%}")
     ok = report(
         "C1", not failures,
@@ -145,7 +145,7 @@ def test_diagnostic_chi_with_boundary_term(reference):
             continue
         rho1 = math.exp(-0.5 * nu * nu) / (2.0 * math.sqrt(2.0) * math.pi * r_c)
         predicted = analytic_chi_gaussian(nu, r_c) + (2 * L * rho1 + norm.sf(nu)) / area
-        rel = abs(summary.mean_chi / area - predicted) / abs(predicted)
+        rel = abs(summary.mean["chi"] / area - predicted) / abs(predicted)
         worst = max(worst, rel)
     ok = report("C1-DIAGNOSTIC", worst < 0.03,
                 f"boundary-corrected chi matches within {worst:.2%} (limit 3%)")
@@ -207,10 +207,10 @@ def test_criterion_3_covariance_sign_and_ordering(reference):
         cov = summary.cov_b0b1
         if cov > 3.0 * se:
             positive.append(f"nu={nu:+.1f}: cov={cov:+.3f} > 3 SE={3 * se:.3f}")
-        if summary.sd_b0 > 0 and summary.sd_b1 > 0:
-            pooled += products / (summary.sd_b0 * summary.sd_b1)
-        quad = math.hypot(summary.sd_b0, summary.sd_b1)
-        ordered = summary.sd_chi > quad > summary.sd_bsum
+        if summary.sd["b0"] > 0 and summary.sd["b1"] > 0:
+            pooled += products / (summary.sd["b0"] * summary.sd["b1"])
+        quad = math.hypot(summary.sd["b0"], summary.sd["b1"])
+        ordered = summary.sd["chi"] > quad > summary.sd["bsum"]
         if cov < -2.0 * se:
             resolved.append(f"{nu:+.1f} (z={cov / se:+.1f})")
             if not ordered:
@@ -238,11 +238,11 @@ def test_criterion_3_covariance_sign_and_ordering(reference):
 def test_criterion_4_variance_identities(reference):
     worst = 0.0
     for s in reference.summaries:
-        lhs = s.sd_chi**2
-        rhs = s.sd_b0**2 + s.sd_b1**2 - 2.0 * s.cov_b0b1
+        lhs = s.sd["chi"]**2
+        rhs = s.sd["b0"]**2 + s.sd["b1"]**2 - 2.0 * s.cov_b0b1
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-        lhs = s.sd_bsum**2
-        rhs = s.sd_b0**2 + s.sd_b1**2 + 2.0 * s.cov_b0b1
+        lhs = s.sd["bsum"]**2
+        rhs = s.sd["b0"]**2 + s.sd["b1"]**2 + 2.0 * s.cov_b0b1
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
     ok = report("C4", worst <= 1e-9,
                 f"variance identities hold to {worst:.2e} relative (limit 1e-9)")
@@ -336,7 +336,7 @@ def test_criterion_6_binomial_regimes(reference):
     fits = {}
     for nu in (3.0, 3.5):
         summary = reference.summary_at(nu)
-        fits[nu] = fit_binomial_chi(nu, summary.sd_chi, r_c, area)
+        fits[nu] = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
         if not fits[nu].valid:
             problems.append(f"fit at nu={nu} invalid")
     n_decreasing = fits[3.0].valid and fits[3.5].valid and fits[3.5].N_fit < fits[3.0].N_fit

@@ -162,6 +162,7 @@ class TestSweep:
             (["--nu-step", "nan"], "--nu-step must be finite"),
             (["--nu-min=-1e308", "--nu-max", "1e308"], "inf thresholds"),  # span overflows
             (["--nu-min", "0", "--nu-max", "1", "--nu-step", "1e-5"], "100001 thresholds"),
+            (["--nu-step", "0"], "--nu-step must be > 0"),
         ],
     )
     def test_unbounded_sweep_exits_2(self, tmp_path, capsys, bounds, message):
@@ -207,6 +208,21 @@ class TestSweep:
         code = run_cli("sweep", "--field", str(bad), "--out", str(tmp_path / "x.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [(4, 2, "unsupported version 2"), (6, 4, "bad dimension 4")],
+    )
+    def test_unsupported_header_exits_3(self, tmp_path, capsys, offset, value, message):
+        dump = tmp_path / "f.bin"
+        save_field(FieldGrid(dim=2, side=32, L=32.0, values=np.ones((32, 32)), seed=0), dump)
+        raw = bytearray(dump.read_bytes())
+        raw[offset : offset + 2] = value.to_bytes(2, "little")  # a uint16 of the header
+        dump.write_bytes(bytes(raw))
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--field", str(dump), "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sigma_mode_exits_2(self, tmp_path):
         out = tmp_path / "f.bin"
         run_cli("gen", "--n", "32", "--boxsize", "32", "--out", str(out))
@@ -220,6 +236,14 @@ class TestSweep:
         out.with_name(out.name + ".json").write_text("{not json")
         code = run_cli("sweep", "--field", str(out), "--out", str(tmp_path / "x.csv"))
         assert code == 3
+
+    def test_sidecar_not_an_object_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "f.bin"
+        run_cli("gen", "--n", "32", "--boxsize", "32", "--out", str(out))
+        out.with_name(out.name + ".json").write_text("[1, 2]")
+        code = run_cli("sweep", "--field", str(out), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert "malformed sidecar: not a JSON object" in capsys.readouterr().err
 
     def test_bad_range_exits_2(self, tmp_path):
         out = tmp_path / "f.bin"
@@ -408,7 +432,7 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize(
         "line",
         ["dim = 4", "n = 33", "boxsize = 0", "sigma_mode = -1", "n = abc", "amplitude = nan",
-         "workers = 0", "workers = -1"],
+         "workers = 0", "workers = -1", "amplitude = -1", "k_low_cutoff = 0"],
     )
     def test_invalid_value_exits_2_before_output(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -416,6 +440,22 @@ class TestEnsembleCommand:
         outdir = tmp_path / "o"
         code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
         assert code == 2
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"amplitude = \xff\n", "can't decode byte 0xff"),
+            (b"thresholds =\n", "bad value for 'thresholds': expected at least one value"),
+        ],
+    )
+    def test_unparsable_config_exits_2_before_output(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not outdir.exists()
 
 

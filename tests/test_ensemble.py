@@ -217,8 +217,19 @@ class TestRunEnsemble:
         res = run_ensemble(cfg)
         for t, summary in enumerate(res.summaries):
             b0 = res.stats["b0"][:, t]
-            assert summary.mean_b0 == pytest.approx(b0.mean())
-            assert summary.sd_b0 == pytest.approx(b0.std(ddof=1))
+            assert summary.mean["b0"] == pytest.approx(b0.mean())
+            assert summary.sd["b0"] == pytest.approx(b0.std(ddof=1))
+
+    def test_summaries_keyed_by_every_statistic(self):
+        # 3D, so b2 varies: its moments are kept though summary.csv leaves them out
+        res = run_ensemble(quick_config(n_realizations=3, side=32, L=32.0, dim=3))
+        for t, summary in enumerate(res.summaries):
+            assert list(summary.mean) == list(summary.sd) == [*ens.STAT_NAMES, "bg"]
+            for stat, mean in summary.mean.items():
+                x = res.stats[stat][:, t]
+                assert mean == pytest.approx(x.mean())
+                assert summary.sd[stat] == pytest.approx(x.std(ddof=1))
+        assert any(s.mean["b2"] > 0 for s in res.summaries)
 
     def test_mean_chi_vanishes_at_zero(self, quick_result):
         s = quick_result.summary_at(0.0)
@@ -226,15 +237,15 @@ class TestRunEnsemble:
             math.sqrt(2) * math.pi * quick_result.r_c_measured
         )
         # the clipped frame contributes a known positive offset ~ L/(sqrt(2) pi r_c)
-        assert abs(s.mean_chi - boundary - 0.5) <= 3 * s.se("chi") + 1.0
+        assert abs(s.mean["chi"] - boundary - 0.5) <= 3 * s.se("chi") + 1.0
 
     def test_variance_identities(self, quick_result):
         for s in quick_result.summaries:
-            lhs = s.sd_chi**2
-            rhs = s.sd_b0**2 + s.sd_b1**2 - 2 * s.cov_b0b1
+            lhs = s.sd["chi"]**2
+            rhs = s.sd["b0"]**2 + s.sd["b1"]**2 - 2 * s.cov_b0b1
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-            lhs = s.sd_bsum**2
-            rhs = s.sd_b0**2 + s.sd_b1**2 + 2 * s.cov_b0b1
+            lhs = s.sd["bsum"]**2
+            rhs = s.sd["b0"]**2 + s.sd["b1"]**2 + 2 * s.cov_b0b1
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_chi_consistency_columns(self, quick_result):
@@ -288,13 +299,13 @@ class TestRunEnsemble:
         # every hole is a background component; the frame-cut exterior adds more
         assert (bg >= quick_result.stats["b1"]).all()
         for t, s in enumerate(quick_result.summaries):
-            assert s.mean_bg == pytest.approx(bg[:, t].mean())
-            assert s.sd_bg == pytest.approx(bg[:, t].std(ddof=1))
+            assert s.mean["bg"] == pytest.approx(bg[:, t].mean())
+            assert s.sd["bg"] == pytest.approx(bg[:, t].std(ddof=1))
         assert quick_result.spectrum_at(3, 1.0).n_background == bg[3, 2]
 
     def test_mj_moments_populated(self, quick_result):
         s = quick_result.summary_at(0.0)
-        assert s.mean_mj and sum(s.mean_mj.values()) == pytest.approx(s.mean_b0)
+        assert s.mean_mj and sum(s.mean_mj.values()) == pytest.approx(s.mean["b0"])
 
     def test_histograms_cover_all_realizations(self, quick_result):
         for s in quick_result.summaries:
@@ -313,9 +324,9 @@ class TestRunEnsemble:
         # algebraic consequence of the variance identities
         for s in quick_result.summaries:
             if s.cov_b0b1 < 0:
-                quad = math.hypot(s.sd_b0, s.sd_b1)
-                assert s.sd_chi > quad
-                assert s.sd_bsum < quad
+                quad = math.hypot(s.sd["b0"], s.sd["b1"])
+                assert s.sd["chi"] > quad
+                assert s.sd["bsum"] < quad
 
 
 class TestAnalyticChi:
@@ -372,9 +383,9 @@ class TestExpectedChi:
 def summary_with_mj(mean_mj, var_mj):
     return ThresholdSummary(
         nu=0.0, n_realizations=10,
-        mean_b0=sum(mean_mj.values()), mean_b1=0.0, mean_chi=0.0, mean_bsum=0.0,
-        sd_b0=1.0, sd_b1=1.0, sd_chi=1.0, sd_bsum=1.0, cov_b0b1=0.0,
-        mean_bg=1.0, sd_bg=1.0, mean_mj=mean_mj, var_mj=var_mj,
+        mean={"b0": sum(mean_mj.values()), "b1": 0.0, "chi": 0.0, "bsum": 0.0, "bg": 1.0},
+        sd={"b0": 1.0, "b1": 1.0, "chi": 1.0, "bsum": 1.0, "bg": 1.0}, cov_b0b1=0.0,
+        mean_mj=mean_mj, var_mj=var_mj,
     )
 
 
@@ -463,7 +474,7 @@ class TestBinomialFits:
         ]
         for row, sign in [(rows[0], -1), (rows[-1], 1)]:
             nu = row.fit.nu
-            fit = fit_binomial_chi(nu, result.summary_at(nu).sd_chi, result.r_c_measured,
+            fit = fit_binomial_chi(nu, result.summary_at(nu).sd["chi"], result.r_c_measured,
                                    result.area)
             assert row.fit == fit
             cmp = pdf_compare(sign * result.samples("chi", nu), fit if fit.valid else None)
@@ -480,6 +491,19 @@ class TestBinomialFits:
 
     def test_moments_super_poisson_invalid(self):
         assert not fit_binomial_moments(5.0, 5.5).valid
+
+    @pytest.mark.parametrize(
+        "mean, variance, note",
+        [(0.5, 0.1, "N below one trial"), (5.0, -1.0, "negative variance")],
+    )
+    def test_moments_without_binomial_solution_invalid(self, mean, variance, note):
+        fit = fit_binomial_moments(mean, variance)
+        assert not fit.valid and fit.note == note
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_moments_non_finite_mean_rejected(self, mean):
+        with pytest.raises(DomainError, match="mean must be finite"):
+            fit_binomial_moments(mean, 1.0)
 
 
 class TestPdfCompare:
@@ -547,9 +571,8 @@ def manual_summary(nu, mean_b0, mean_bg, n=100, sd=1.0):
     # of the background count would fail these tests
     return ThresholdSummary(
         nu=nu, n_realizations=n,
-        mean_b0=mean_b0, mean_b1=0.0, mean_chi=0.0, mean_bsum=0.0,
-        sd_b0=sd, sd_b1=sd, sd_chi=sd, sd_bsum=sd, cov_b0b1=0.0,
-        mean_bg=mean_bg, sd_bg=sd,
+        mean={"b0": mean_b0, "b1": 0.0, "chi": 0.0, "bsum": 0.0, "bg": mean_bg},
+        sd={"b0": sd, "b1": sd, "chi": sd, "bsum": sd, "bg": sd}, cov_b0b1=0.0,
     )
 
 

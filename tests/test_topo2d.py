@@ -81,6 +81,15 @@ class TestExcursionMask:
         with pytest.raises(DegenerateFieldError):
             excursion_mask(f, 0.0)
 
+    def test_one_dimensional_bits_rejected(self):
+        with pytest.raises(DomainError, match="mask must be 2D or 3D, got 1D"):
+            ExcursionMask(bits=np.ones(8, dtype=bool), nu=0.0, sigma_used=1.0)
+
+    def test_integer_bits_cast_to_bool(self):
+        mask = ExcursionMask(bits=np.array([[0, 2], [1, 0]]), nu=0.0, sigma_used=1.0)
+        assert mask.bits.dtype == bool
+        assert mask.bits.tolist() == [[False, True], [True, False]]
+
     def test_monotone_in_threshold(self):
         f = self.field()
         previous = excursion_mask(f, -2.0).bits
