@@ -19,7 +19,7 @@ from fieldtopo import (
 
 
 def show(name, bits):
-    stats = betti3d(ExcursionMask(bits=bits, nu=0.0, sigma_used=1.0))
+    stats = betti3d(ExcursionMask(bits=bits))
     print(f"{name:22s} b0={stats.b0} b1={stats.b1} b2={stats.b2} "
           f"chi={stats.chi:+d} bsum={stats.bsum}")
 
@@ -43,8 +43,9 @@ show("solid torus", torus)
 field = generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11, rs=3.0)
 print(f"\n64^3 Gaussian field, rs = 3:")
 print(f"{'nu':>5} {'b0':>6} {'b1':>6} {'b2':>6} {'chi':>7} {'bsum':>7}")
+sigma0 = float(field.values.std())
 for nu in (-2.0, -1.0, 0.0, 1.0, 2.0):
-    stats = betti3d(excursion_mask(field, nu))
+    stats = betti3d(excursion_mask(field, nu, sigma0))
     print(f"{nu:5.1f} {stats.b0:6d} {stats.b1:6d} {stats.b2:6d} "
           f"{stats.chi:7d} {stats.bsum:7d}")
 print("""

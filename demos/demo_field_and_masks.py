@@ -33,7 +33,7 @@ print(f"sample r_c    = {moments.sigma0 / moments.sigma1:.3f}   (quadrature: {pr
 
 print(f"\n{'nu':>5} {'b0':>6} {'b1':>6} {'chi':>6} {'bsum':>6} {'jmax':>5}  occupancy")
 for nu in (-2.0, -1.0, 0.0, 1.0, 2.0):
-    mask = excursion_mask(field, nu)
+    mask = excursion_mask(field, nu, moments.sigma0)
     hs = hole_spectrum(mask)
     stats = topo_stats_from_spectrum(hs)
     fill = mask.bits.mean()

@@ -21,7 +21,7 @@ from fieldtopo import (
 
 
 def show(name, bits):
-    mask = ExcursionMask(bits=np.asarray(bits, dtype=bool), nu=0.0, sigma_used=1.0)
+    mask = ExcursionMask(bits=np.asarray(bits, dtype=bool))
     hs = hole_spectrum(mask)
     stats = topo_stats_from_spectrum(hs)
     print(f"{name:24s} m_j = {hs.counts!s:18s} "
@@ -54,7 +54,7 @@ show("ring nested in a ring", nested)
 # --- the generating function route ----------------------------------------
 # h(alpha) = sum_j m_j exp(-j alpha) packs the whole spectrum into one
 # function; its value and slope at alpha = 0 give back the statistics
-hs = HoleSpectrum(nu=0.0, counts={0: 3, 1: 2, 2: 1})
+hs = HoleSpectrum(counts={0: 3, 1: 2, 2: 1})
 print("\nspectrum {0: 3, 1: 2, 2: 1}:")
 for alpha in (0.0, 0.5, 1.0, 2.0):
     h, dh = generating_function(hs, alpha)

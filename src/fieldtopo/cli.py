@@ -150,7 +150,9 @@ def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarra
     if not nu_step > 0:
         raise ConfigError("--nu-step must be > 0")
     steps = (nu_max - nu_min) / nu_step  # inf when the range overflows
-    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    # the whole steps that fit, so no value passes --nu-max; the tolerance keeps
+    # the endpoint of a whole-step range whose quotient rounds just below
+    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
     if count > MAX_SWEEP_THRESHOLDS:
         raise ConfigError(
             f"the sweep would evaluate {float(count):.6g} thresholds, "
@@ -163,11 +165,11 @@ def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarra
 SWEEP_COLUMNS = ("nu", "b0", "b1", "b2", "chi", "bsum", "jmax", "m_spectrum")
 
 
-def _sweep_row(mask: ExcursionMask) -> list:
-    """One `sweep` row, in `SWEEP_COLUMNS` order."""
+def _sweep_row(nu: float, mask: ExcursionMask) -> list:
+    """One `sweep` row, in `SWEEP_COLUMNS` order, for the mask made at threshold nu."""
     st, counts = ens.measure_mask(mask)
     return [
-        mask.nu, st.b0, st.b1, st.b2, st.chi, st.bsum, max(counts, default=0),
+        nu, st.b0, st.b1, st.b2, st.chi, st.bsum, max(counts, default=0),
         json.dumps({str(j): m for j, m in counts.items()}, sort_keys=True),
     ]
 
@@ -178,12 +180,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     if args.mask:
         bits = field.values > 0.5
-        rows.append(_sweep_row(ExcursionMask(bits=bits, nu=math.nan, sigma_used=math.nan)))
+        rows.append(_sweep_row(math.nan, ExcursionMask(bits=bits)))
     else:
-        # "sample" resolved once here; `excursion_mask` would recompute it per threshold
         sigma = float(field.values.std()) if sigma_mode == "sample" else sigma_mode
-        for nu in _sweep_thresholds(args.nu_min, args.nu_max, args.nu_step):
-            rows.append(_sweep_row(excursion_mask(field, float(nu), sigma)))
+        for nu in _sweep_thresholds(args.nu_min, args.nu_max, args.nu_step).tolist():
+            rows.append(_sweep_row(nu, excursion_mask(field, nu, sigma)))
     ens.write_csv(args.out, SWEEP_COLUMNS, rows)
     return 0
 

@@ -232,7 +232,7 @@ class EnsembleResult:
         row = self.mj_tables[t][realization]
         counts = {j: int(m) for j, m in enumerate(row) if m > 0}
         n_background = int(self.stats["bg"][realization, t])
-        return HoleSpectrum(nu=nu, counts=counts, n_background=n_background)
+        return HoleSpectrum(counts=counts, n_background=n_background)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,6 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
             site += f", nu = {nu}"
         raise type(exc)(f"{site}: {exc}") from exc
     return {
-        "index": index,
         "sigma0": moments.sigma0,
         "sigma1": moments.sigma1,
         "table": table,
@@ -293,12 +292,13 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
 
 
 def _realize_args(args: tuple[EnsembleConfig, int]) -> dict:
+    """`_realize` for the pool: pickled by name, it looks `_realize` up per call,
+    so a wrapped `_realize` (a local function, as perfbench's tracer installs) still runs."""
     return _realize(*args)
 
 
 def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
-    """Deterministic fold of the per-realization results, in index order."""
-    rows = sorted(rows, key=lambda r: r["index"])
+    """Deterministic fold of the per-realization results, given in index order."""
     n = len(rows)
     n_nu = len(config.thresholds)
     cube = np.stack([r["table"] for r in rows])  # (n, n_nu, len(TABLE_COLUMNS))
@@ -623,7 +623,7 @@ class DualityRow:
 def symmetric(thresholds: Sequence[float]) -> bool:
     """Whether a threshold grid is its own mirror image about 0 (to 1e-9)."""
     nus = np.sort(np.asarray(thresholds, dtype=float))
-    return bool(np.allclose(nus, -nus[::-1], atol=1e-9))
+    return bool(np.allclose(nus, -nus[::-1], rtol=0.0, atol=1e-9))
 
 
 def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:
@@ -760,22 +760,26 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     |nu| >= `REGIME_CUT`: the analytic-mean inversion on chi, with the
     measured r_c, sampled as -chi below zero (a tail threshold where chi
     never varies gets an invalid row noted "zero variance"); in between:
-    method-of-moments fits for each statistic.  TV distances are attached
-    when there are enough realizations for a PDF comparison.
+    method-of-moments fits for each statistic.  The inversion needs the 2D
+    density `analytic_chi_gaussian`, so a 3D tail row is invalid, noted
+    "no 3D analytic chi", with chi sampled as it is.  TV distances are
+    attached when there are enough realizations for a PDF comparison.
     """
     r_c = result.r_c_measured
     area = result.area
     enough = result.config.n_realizations >= MIN_PDF_SAMPLES
+    planar = result.config.dim == 2
     rows: list[FitRow] = []
     for summary in result.summaries:
         nu = summary.nu
         if abs(nu) >= REGIME_CUT:
-            if summary.sd["chi"] > 0:
+            if planar and summary.sd["chi"] > 0:
                 fit = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
-            else:  # chi took one value in every realization: nothing to invert
-                fit = BinomialFit(nu, _tail_regime(nu), 0.0, 0.0, False, "chi", "zero variance")
+            else:  # chi took one value in every realization, or no 3D mean to invert against
+                note = "zero variance" if planar else "no 3D analytic chi"
+                fit = BinomialFit(nu, _tail_regime(nu), 0.0, 0.0, False, "chi", note)
             samples = result.samples("chi", nu)
-            rows.append(_fit_row(fit, samples if nu > 0 else -samples, enough))
+            rows.append(_fit_row(fit, -samples if planar and nu < 0 else samples, enough))
         else:
             for stat in STATISTICS:
                 samples = result.samples(stat, nu)

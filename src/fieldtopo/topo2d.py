@@ -34,11 +34,9 @@ from .grf import FieldGrid
 
 @dataclass
 class ExcursionMask:
-    """Boolean excursion set of a field at threshold nu (in units of sigma0)."""
+    """A 2D or 3D boolean excursion set; the threshold that made it stays with its caller."""
 
     bits: np.ndarray
-    nu: float
-    sigma_used: float
 
     def __post_init__(self) -> None:
         if self.bits.dtype != bool:
@@ -61,7 +59,6 @@ class HoleSpectrum:
     Under f -> -f the components at nu map onto these at -nu.
     """
 
-    nu: float
     counts: dict[int, int] = dataclass_field(default_factory=dict)
     n_background: int | None = None
 
@@ -85,7 +82,7 @@ class HoleSpectrum:
 
 @dataclass
 class TopoStats:
-    """Betti numbers at one threshold; chi and bsum are their alternating and plain sums.
+    """Betti numbers of one mask; chi and bsum are their alternating and plain sums.
 
     ``n_background`` carries the background component count of the mask
     (see `HoleSpectrum`) when it was measured.
@@ -94,7 +91,6 @@ class TopoStats:
     b0: int
     b1: int
     b2: int
-    nu: float
     n_background: int | None = None
 
     @property
@@ -106,20 +102,11 @@ class TopoStats:
         return self.b0 + self.b1 + self.b2
 
 
-def excursion_mask(field: FieldGrid, nu: float, sigma_mode="sample") -> ExcursionMask:
-    """Threshold a field at nu * sigma0.
-
-    ``sigma_mode`` is either the string ``"sample"`` (use the realization's
-    own standard deviation) or a positive float (a fixed ensemble sigma0).
-    """
-    if sigma_mode == "sample":
-        sigma = float(field.values.std())
-    else:
-        sigma = float(sigma_mode)
-    if not sigma > 0.0:
-        raise DegenerateFieldError(f"sigma0 = {sigma}: cannot threshold a flat or NaN field")
-    bits = field.values >= nu * sigma
-    return ExcursionMask(bits=bits, nu=float(nu), sigma_used=sigma)
+def excursion_mask(field: FieldGrid, nu: float, sigma0: float) -> ExcursionMask:
+    """Threshold a field at nu * sigma0, with sigma0 as its caller resolved it."""
+    if not sigma0 > 0.0:
+        raise DegenerateFieldError(f"sigma0 = {sigma0}: cannot threshold a flat or NaN field")
+    return ExcursionMask(bits=field.values >= nu * sigma0)
 
 
 def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,14 +219,14 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     loop = np.concatenate([b[0], b[:, -1], b[-1, ::-1], b[::-1, 0]])
     arcs = int(np.count_nonzero(loop & ~np.roll(loop, 1)))
     n_bg = 1 + int(holes.sum()) - int(np.count_nonzero(frame)) + arcs
-    return HoleSpectrum(nu=mask.nu, counts=dict(enumerate(m.tolist())), n_background=n_bg)
+    return HoleSpectrum(counts=dict(enumerate(m.tolist())), n_background=n_bg)
 
 
 def topo_stats_from_spectrum(hs: HoleSpectrum) -> TopoStats:
     """Betti numbers and friends as weighted sums over the spectrum."""
     b0 = sum(hs.counts.values())
     b1 = sum(j * m for j, m in hs.counts.items())
-    return TopoStats(b0=b0, b1=b1, b2=0, nu=hs.nu, n_background=hs.n_background)
+    return TopoStats(b0=b0, b1=b1, b2=0, n_background=hs.n_background)
 
 
 def euler_closed_cell(mask: ExcursionMask) -> int:
@@ -285,6 +272,4 @@ def betti_from_h(hs: HoleSpectrum) -> TopoStats:
     b0 = h(0), b1 = -h'(0), chi = h(0) + h'(0), bsum = h(0) - h'(0).
     """
     h, dh = generating_function(hs, 0.0)
-    return TopoStats(
-        b0=int(round(h)), b1=int(round(-dh)), b2=0, nu=hs.nu, n_background=hs.n_background
-    )
+    return TopoStats(b0=int(round(h)), b1=int(round(-dh)), b2=0, n_background=hs.n_background)

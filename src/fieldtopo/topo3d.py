@@ -46,4 +46,4 @@ def betti3d(mask: ExcursionMask) -> TopoStats:
             f"derived b1 = {b1} < 0 (b0 = {b0}, b2 = {b2}, chi = {chi}); "
             "connectivity conventions are inconsistent"
         )
-    return TopoStats(b0=b0, b1=b1, b2=b2, nu=mask.nu, n_background=n_bg)
+    return TopoStats(b0=b0, b1=b1, b2=b2, n_background=n_bg)

@@ -428,7 +428,7 @@ def test_criterion_7_state_counting():
 
 def test_criterion_8_3d_fixtures():
     def stats_of(bits):
-        return betti3d(ExcursionMask(bits=bits, nu=0.0, sigma_used=1.0))
+        return betti3d(ExcursionMask(bits=bits))
 
     ball = np.zeros((6, 6, 6), dtype=bool)
     ball[1:5, 1:5, 1:5] = True

@@ -54,3 +54,21 @@ def test_tiny_ensemble_passes_the_output_checks(dim):
         master_seed=5,
     )
     assert worker.failed_realizations(ens.run_ensemble(config)) == 0
+
+
+def test_traced_pool_run_records_every_realization(tmp_path):
+    # the traced `_realize` is a local wrapper: the pool must reach it through a
+    # module-level function, or no traced run with workers > 1 can pickle its task
+    config = ens.EnsembleConfig(
+        side=32, L=32.0, dim=2, rs=2.0, n_realizations=6, thresholds=(-1.0, 0.0, 1.0),
+        master_seed=5,
+    )
+    tracer = Tracer(tmp_path)
+    try:
+        tracer.install()
+        ens.run_ensemble(config, workers=2)
+    finally:
+        tracer.uninstall()
+    names = [span["name"] for span in tracer.gather()]
+    assert names.count("ensemble.realization") == 6
+    assert names.count("topo2d.hole_spectrum") == 6 * 3

@@ -173,6 +173,21 @@ class TestSweep:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "nu_min, nu_max, nu_step, count",
+        [
+            (-3.0, 3.0, 0.7, 9),  # not a whole number of steps: stops at 2.6
+            (0.0, 1.0, 0.35, 3),  # stops at 0.7
+            (-3.0, 3.0, 0.5, 13),
+            (0.0, 1.0, 0.1, 11),
+            (-3.0, 3.0, 0.1, 61),  # 6 / 0.1 is just below 60 in floating point
+        ],
+    )
+    def test_thresholds_stop_at_nu_max(self, nu_min, nu_max, nu_step, count):
+        nus = _sweep_thresholds(nu_min, nu_max, nu_step)
+        assert len(nus) == count and nus[0] == nu_min
+        assert 0 <= nu_max - nus[-1] + 1e-12 < nu_step
+
     def test_threshold_count_limit(self):
         top = MAX_SWEEP_THRESHOLDS - 1
         assert len(_sweep_thresholds(0.0, float(top), 1.0)) == MAX_SWEEP_THRESHOLDS

@@ -67,15 +67,15 @@ class TestMeasureMask:
         bits[1:6, 1:6] = True
         bits[2, 2] = bits[4, 4] = False
         bits[7, 7] = True
-        st, counts = measure_mask(ExcursionMask(bits=bits, nu=0.5, sigma_used=1.0))
+        st, counts = measure_mask(ExcursionMask(bits=bits))
         assert counts == {0: 1, 2: 1}
-        assert (st.b0, st.b1, st.b2, st.chi, st.nu) == (2, 2, 0, 0, 0.5)
+        assert (st.b0, st.b1, st.b2, st.chi) == (2, 2, 0, 0)
 
     def test_3d_mask_has_empty_spectrum(self):
         bits = np.zeros((5, 5, 5), dtype=bool)
         bits[1:4, 1:4, 1:4] = True
         bits[2, 2, 2] = False
-        st, counts = measure_mask(ExcursionMask(bits=bits, nu=0.0, sigma_used=1.0))
+        st, counts = measure_mask(ExcursionMask(bits=bits))
         assert counts == {}
         assert (st.b0, st.b1, st.b2, st.chi) == (1, 0, 1, 2)
 
@@ -480,6 +480,21 @@ class TestBinomialFits:
             cmp = pdf_compare(sign * result.samples("chi", nu), fit if fit.valid else None)
             assert (row.tv_binomial, row.tv_gaussian) == (cmp.tv_binomial, cmp.tv_gaussian)
 
+        # 3D: the tail inversion's mean is the 2D density (times L^3 here), so
+        # the tail rows are refused, and chi is compared as it is, not mirrored
+        result = run_ensemble(
+            quick_config(side=32, L=32.0, dim=3, n_realizations=100, thresholds=(-2.5, 0.0, 2.5)),
+            workers=1,
+        )
+        rows = ens.compute_fits(result)
+        assert [(r.fit.regime, r.fit.valid) for r in (rows[0], rows[-1])] == [
+            ("low_negative", False), ("high_positive", False),
+        ]
+        for row in (rows[0], rows[-1]):
+            assert (row.fit.N_fit, row.fit.p_fit, row.fit.note) == (0.0, 0.0, "no 3D analytic chi")
+            cmp = pdf_compare(result.samples("chi", row.fit.nu), None)
+            assert (row.tv_binomial, row.tv_gaussian) == (None, cmp.tv_gaussian)
+
     def test_moments_algebra(self):
         fit = fit_binomial_moments(8.0, 4.0)
         assert fit.valid and fit.p_fit == pytest.approx(0.5)
@@ -586,6 +601,9 @@ class TestDualityCheck:
         assert ens.symmetric((1.0, -1.0, 0.0))
         assert ens.symmetric((-2.0, 2.0 + 1e-10))
         assert not ens.symmetric((-1.0, 0.0, 0.5))
+        # within numpy's default rtol of 1e-5, but not within 1e-9
+        assert not ens.symmetric((-100.0, 100.0009))
+        assert not ens.symmetric((-3.0, 0.0, 3.00002))
 
     def test_perfect_duality_passes(self):
         summaries = [manual_summary(nu, 10.0, 10.0) for nu in (-1.0, 0.0, 1.0)]

@@ -48,6 +48,10 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate(FLAT, 32, 32.0, 4, seed=0)
 
+    def test_values_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ConfigError, match=r"values shape \(32, 16\) does not match"):
+            FieldGrid(dim=2, side=32, L=32.0, values=np.zeros((32, 16)), seed=0)
+
     def test_variance_matches_quadrature(self):
         # flat spectrum: every lattice mode carries the same power, so the
         # quadrature window with the equal-area high cut (k^2 = 4 pi N^2/L^2)

@@ -127,6 +127,24 @@ class TestSpectralMoment:
         with pytest.raises(DomainError):
             spectral_moment(FLAT, 0, 1.0, 2.0, 1.0, 3)
 
+    @pytest.mark.parametrize(
+        "n, rs, kmin, dim, message",
+        [
+            (0, 1.0, 0.0, 4, "dim must be 2 or 3"),
+            (-1, 1.0, 0.0, 2, "moment order"),
+            (0, -1.0, 0.0, 2, "smoothing length"),
+            (0, 1.0, -1.0, 2, "kmin must be >= 0"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, n, rs, kmin, dim, message):
+        with pytest.raises(DomainError, match=message):
+            spectral_moment(FLAT, n, rs, kmin, math.inf, dim)
+
+    def test_window_ending_below_low_cutoff_is_zero(self):
+        # rs = 5 truncates the integral at k = 8 / 5, below the cutoff at 10
+        model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=10.0)
+        assert spectral_moment(model, 0, 5.0, 0.0, math.inf, 2) == 0.0
+
     @settings(max_examples=30, deadline=None)
     @given(
         rs_lo=st.floats(0.2, 5.0),
@@ -189,6 +207,10 @@ class TestPackingFraction:
             packing_fraction(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             packing_fraction(1.0, -1.0, 2)
+
+    def test_rejects_dim_4(self):
+        with pytest.raises(DomainError, match="dim must be 2 or 3"):
+            packing_fraction(1.0, 1.0, 4)
 
     @settings(max_examples=25, deadline=None)
     @given(

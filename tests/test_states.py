@@ -82,6 +82,10 @@ class TestVectorOracle:
         with pytest.raises(DomainError):
             enumerate_vector_states(2, 5, 3)
 
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            enumerate_vector_states(-1, 0, 0)
+
     def test_matches_partition_oracle(self):
         # states with b0 = b1 = n biject onto partitions of n into <= n parts
         for n in range(1, 21):
@@ -112,6 +116,10 @@ class TestCompositionOracle:
 
     def test_empty_composition(self):
         assert enumerate_composition_states(3, 0) == 1
+
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            enumerate_composition_states(-1, 0)
 
     def test_guard(self):
         with pytest.raises(SizeError):

@@ -37,7 +37,7 @@ from fieldtopo.grf import FieldGrid
 
 
 def mask_of(array) -> ExcursionMask:
-    return ExcursionMask(bits=np.asarray(array, dtype=bool), nu=0.0, sigma_used=1.0)
+    return ExcursionMask(bits=np.asarray(array, dtype=bool))
 
 
 def block(shape, canvas=None, offset=(1, 1)):
@@ -55,23 +55,24 @@ class TestExcursionMask:
         return smooth(f, 2.0)
 
     def test_minus_infinity_all_true(self):
-        assert excursion_mask(self.field(), -math.inf).bits.all()
+        f = self.field()
+        assert excursion_mask(f, -math.inf, float(f.values.std())).bits.all()
 
     def test_plus_infinity_all_false(self):
-        assert not excursion_mask(self.field(), math.inf).bits.any()
+        f = self.field()
+        assert not excursion_mask(f, math.inf, float(f.values.std())).bits.any()
 
     def test_single_pixel_at_sigma(self):
         values = np.zeros((16, 16))
         values[4, 9] = 1.0
         f = FieldGrid(dim=2, side=16, L=16.0, values=values, seed=0)
-        mask = excursion_mask(f, 0.5, sigma_mode=1.0)
+        mask = excursion_mask(f, 0.5, 1.0)
         assert mask.bits.sum() == 1 and mask.bits[4, 9]
-        assert mask.sigma_used == 1.0
 
     def test_degenerate_sigma(self):
         f = FieldGrid(dim=2, side=16, L=16.0, values=np.zeros((16, 16)), seed=0)
         with pytest.raises(DegenerateFieldError):
-            excursion_mask(f, 1.0)
+            excursion_mask(f, 1.0, float(f.values.std()))
 
     def test_nan_field_rejected(self):
         values = np.zeros((16, 16))
@@ -79,22 +80,23 @@ class TestExcursionMask:
         values[7, 7] = math.nan
         f = FieldGrid(dim=2, side=16, L=16.0, values=values, seed=0)
         with pytest.raises(DegenerateFieldError):
-            excursion_mask(f, 0.0)
+            excursion_mask(f, 0.0, float(f.values.std()))
 
     def test_one_dimensional_bits_rejected(self):
         with pytest.raises(DomainError, match="mask must be 2D or 3D, got 1D"):
-            ExcursionMask(bits=np.ones(8, dtype=bool), nu=0.0, sigma_used=1.0)
+            ExcursionMask(bits=np.ones(8, dtype=bool))
 
     def test_integer_bits_cast_to_bool(self):
-        mask = ExcursionMask(bits=np.array([[0, 2], [1, 0]]), nu=0.0, sigma_used=1.0)
+        mask = ExcursionMask(bits=np.array([[0, 2], [1, 0]]))
         assert mask.bits.dtype == bool
         assert mask.bits.tolist() == [[False, True], [True, False]]
 
     def test_monotone_in_threshold(self):
         f = self.field()
-        previous = excursion_mask(f, -2.0).bits
+        sigma0 = float(f.values.std())
+        previous = excursion_mask(f, -2.0, sigma0).bits
         for nu in (-1.0, 0.0, 1.0, 2.0):
-            current = excursion_mask(f, nu).bits
+            current = excursion_mask(f, nu, sigma0).bits
             assert not (current & ~previous).any()  # mask(nu2) subset of mask(nu1)
             previous = current
 
@@ -174,7 +176,7 @@ class TestHoleSpectrum:
     def test_rejects_3d(self):
         bits = np.ones((4, 4, 4), dtype=bool)
         with pytest.raises(DomainError):
-            hole_spectrum(ExcursionMask(bits=bits, nu=0.0, sigma_used=1.0))
+            hole_spectrum(ExcursionMask(bits=bits))
 
     def test_component_total(self):
         rng = np.random.default_rng(42)
@@ -304,14 +306,16 @@ class TestAgainstTwoLabelingOracle:
         # the masks of the acceptance reference: 512^2, rs = 4, 15 thresholds
         for index in range(3):
             field = generate(PowerSpectrumModel(1.0), 512, 512.0, 2, seed=(20250801, index), rs=4.0)
+            sigma0 = float(field.values.std())
             for nu in REFERENCE_THRESHOLDS:
-                self.check(excursion_mask(field, nu).bits)
+                self.check(excursion_mask(field, nu, sigma0).bits)
 
     def test_white_noise_masks(self):
         # rs = 0: the most runs per row and the most holes per component
         field = generate(PowerSpectrumModel(1.0), 512, 512.0, 2, seed=20250801, rs=0.0)
+        sigma0 = float(field.values.std())
         for nu in REFERENCE_THRESHOLDS:
-            self.check(excursion_mask(field, nu).bits)
+            self.check(excursion_mask(field, nu, sigma0).bits)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_checkerboard(self, parity):
@@ -407,24 +411,29 @@ class TestBackgroundCount:
 
 class TestTopoStatsFromSpectrum:
     def test_single_component_no_holes(self):
-        stats = topo_stats_from_spectrum(HoleSpectrum(nu=0.0, counts={0: 1}))
+        stats = topo_stats_from_spectrum(HoleSpectrum(counts={0: 1}))
         assert (stats.b0, stats.b1, stats.chi, stats.bsum) == (1, 0, 1, 1)
 
     def test_two_hole_component(self):
-        stats = topo_stats_from_spectrum(HoleSpectrum(nu=0.0, counts={2: 1}))
+        stats = topo_stats_from_spectrum(HoleSpectrum(counts={2: 1}))
         assert (stats.b0, stats.b1, stats.chi, stats.bsum) == (1, 2, -1, 3)
 
     def test_mixed_spectrum(self):
-        stats = topo_stats_from_spectrum(HoleSpectrum(nu=0.0, counts={0: 3, 1: 2, 2: 1}))
+        stats = topo_stats_from_spectrum(HoleSpectrum(counts={0: 3, 1: 2, 2: 1}))
         assert (stats.b0, stats.b1, stats.chi, stats.bsum) == (6, 4, 2, 10)
 
     def test_parity_and_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             counts = {int(j): int(rng.integers(0, 5)) for j in rng.integers(0, 8, size=4)}
-            stats = topo_stats_from_spectrum(HoleSpectrum(nu=0.0, counts=counts))
+            stats = topo_stats_from_spectrum(HoleSpectrum(counts=counts))
             assert stats.bsum >= abs(stats.chi)
             assert (stats.bsum - stats.chi) % 2 == 0
+
+    @pytest.mark.parametrize("counts", [{0: -1}, {-1: 1}])
+    def test_negative_entry_rejected(self, counts):
+        with pytest.raises(DomainError, match="invalid spectrum entry"):
+            HoleSpectrum(counts=counts)
 
 
 class TestEulerClosedCell:
@@ -479,25 +488,25 @@ def cell_oracle_chi(bits) -> int:
 
 class TestGeneratingFunction:
     def test_single_simply_connected(self):
-        hs = HoleSpectrum(nu=0.0, counts={0: 1})
+        hs = HoleSpectrum(counts={0: 1})
         for alpha in (-1.0, 0.0, 2.5):
             h, dh = generating_function(hs, alpha)
             assert (h, dh) == (1.0, 0.0)
 
     def test_two_annuli(self):
-        h, dh = generating_function(HoleSpectrum(nu=0.0, counts={1: 2}), 0.0)
+        h, dh = generating_function(HoleSpectrum(counts={1: 2}), 0.0)
         assert (h, dh) == (2.0, -2.0)
-        stats = betti_from_h(HoleSpectrum(nu=0.0, counts={1: 2}))
+        stats = betti_from_h(HoleSpectrum(counts={1: 2}))
         assert stats.b1 == 2
 
     def test_decay_in_alpha(self):
-        hs = HoleSpectrum(nu=0.0, counts={0: 1, 3: 2})
+        hs = HoleSpectrum(counts={0: 1, 3: 2})
         h, _ = generating_function(hs, 5.0)
         assert h == pytest.approx(1.0 + 2.0 * math.exp(-15.0))
 
     def test_nonfinite_alpha_rejected(self):
         with pytest.raises(DomainError):
-            generating_function(HoleSpectrum(nu=0.0, counts={0: 1}), math.inf)
+            generating_function(HoleSpectrum(counts={0: 1}), math.inf)
 
     def test_equivalence_with_direct_sums(self):
         rng = np.random.default_rng(3)
@@ -506,5 +515,5 @@ class TestGeneratingFunction:
                 int(j): int(rng.integers(1, 6))
                 for j in rng.choice(12, size=rng.integers(0, 5), replace=False)
             }
-            hs = HoleSpectrum(nu=0.5, counts=counts)
+            hs = HoleSpectrum(counts=counts)
             assert betti_from_h(hs) == topo_stats_from_spectrum(hs)

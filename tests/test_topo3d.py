@@ -27,7 +27,7 @@ REFERENCE_THRESHOLDS = [-3.5 + 0.5 * i for i in range(15)]
 
 
 def mask3(array) -> ExcursionMask:
-    return ExcursionMask(bits=np.asarray(array, dtype=bool), nu=0.0, sigma_used=1.0)
+    return ExcursionMask(bits=np.asarray(array, dtype=bool))
 
 
 def solid_ball(canvas=7, radius=2.4):
@@ -91,7 +91,7 @@ class TestFixtures:
 
     def test_rejects_2d(self):
         with pytest.raises(DomainError):
-            betti3d(ExcursionMask(bits=np.ones((4, 4), dtype=bool), nu=0.0, sigma_used=1.0))
+            betti3d(ExcursionMask(bits=np.ones((4, 4), dtype=bool)))
 
 
 class TestInvariants:
@@ -178,8 +178,9 @@ class TestRunGraphAgainstTwoLabelings:
     @pytest.mark.parametrize("rs", [1.0, 3.0])
     def test_smoothed_field_at_reference_thresholds(self, rs):
         field = generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11, rs=rs)
+        sigma0 = float(field.values.std())
         for nu in REFERENCE_THRESHOLDS:
-            bits = excursion_mask(field, nu).bits
+            bits = excursion_mask(field, nu, sigma0).bits
             assert run_graph_counts(bits) == two_labeling_counts(bits), nu
 
     def test_serpentine_and_its_complement(self):
