@@ -33,7 +33,7 @@ for row in rows:
     f = row.fit
     tvb = f"{row.tv_binomial:.3f}" if row.tv_binomial is not None else "-"
     tvg = f"{row.tv_gaussian:.3f}" if row.tv_gaussian is not None else "-"
-    print(f"{f.nu:5.1f} {f.statistic:>9} {f.regime:>14} {f.N_fit:10.1f} "
+    print(f"{row.nu:5.1f} {row.statistic:>9} {row.regime:>14} {f.N_fit:10.1f} "
           f"{f.p_fit:7.3f} {str(f.valid):>5} {tvb:>9} {tvg:>9}")
 
 print("""

@@ -158,7 +158,8 @@ def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarra
             f"the sweep would evaluate {float(count):.6g} thresholds, "
             f"more than {MAX_SWEEP_THRESHOLDS}"
         )
-    return nu_min + nu_step * np.arange(count)
+    # rounding can put a whole-step endpoint a few ulps above --nu-max
+    return np.minimum(nu_min + nu_step * np.arange(count), nu_max)
 
 
 #: the columns of a `sweep` CSV, one row per threshold

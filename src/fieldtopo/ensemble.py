@@ -381,8 +381,8 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleResult:
 
 def analytic_chi_amplitude(r_c: float) -> float:
     """Amplitude of the mean Euler characteristic density: 1/(4 sqrt(2) pi^1.5 r_c^2)."""
-    if r_c <= 0:
-        raise DomainError("r_c must be positive")
+    if not (math.isfinite(r_c) and r_c > 0):
+        raise DomainError(f"r_c must be positive and finite, got {r_c}")
     return 1.0 / (4.0 * math.sqrt(2.0) * math.pi**1.5 * r_c * r_c)
 
 
@@ -417,11 +417,13 @@ def expected_chi(nu: float, r_c: float, L: float) -> float:
 
 @dataclass
 class MjInequalityReport:
-    nu: float
     total_sum: float
-    total_negative: bool
     violating_j: list[int]
     per_j_margin: dict[int, float]
+
+    @property
+    def total_negative(self) -> bool:
+        return self.total_sum < 0
 
 
 def check_mj_inequality(summary: ThresholdSummary) -> MjInequalityReport:
@@ -449,13 +451,7 @@ def check_mj_inequality(summary: ThresholdSummary) -> MjInequalityReport:
             margins[j] = margin
             if margin >= 0:
                 violating.append(j)
-    return MjInequalityReport(
-        nu=summary.nu,
-        total_sum=total,
-        total_negative=total < 0,
-        violating_j=violating,
-        per_j_margin=margins,
-    )
+    return MjInequalityReport(total_sum=total, violating_j=violating, per_j_margin=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +460,11 @@ def check_mj_inequality(summary: ThresholdSummary) -> MjInequalityReport:
 
 @dataclass
 class BinomialFit:
-    """Result of a Binomial moment inversion for one statistic at one threshold."""
+    """Result of a Binomial moment inversion: N and p with mean N p and variance N p (1 - p)."""
 
-    nu: float
-    regime: str  # high_positive | low_negative | intermediate
     N_fit: float
     p_fit: float
     valid: bool
-    statistic: str
     note: str = ""
 
     @property
@@ -479,69 +472,59 @@ class BinomialFit:
         return max(1, int(round(self.N_fit)))
 
 
-def _invert_moments(
-    mu: float, variance: float, nu: float, regime: str, statistic: str
-) -> BinomialFit:
+def _invert_moments(mu: float, variance: float) -> BinomialFit:
     """Solve mu = N p, variance = N p (1 - p) for (N, p); every solved fit is built here.
 
-    variance >= mu has no Binomial solution; variance == mu is the Poisson
+    variance > mu has no Binomial solution; variance == mu is the Poisson
     limit, reported as a capped-N fit.
     """
-
-    def fit(n: float, p: float, valid: bool, note: str = "") -> BinomialFit:
-        return BinomialFit(
-            nu=nu, regime=regime, N_fit=n, p_fit=p, valid=valid, statistic=statistic, note=note
-        )
-
     if not mu > 0:
-        return fit(0.0, 0.0, False, "non-positive mean")
+        return BinomialFit(0.0, 0.0, False, "non-positive mean")
     if variance < 0:
-        return fit(0.0, 0.0, False, "negative variance")
+        return BinomialFit(0.0, 0.0, False, "negative variance")
     denom = mu - variance
     if denom < 0:
-        return fit(0.0, 0.0, False, "super-Poisson variance")
+        return BinomialFit(0.0, 0.0, False, "super-Poisson variance")
     if denom == 0 or mu * mu / denom > N_TRIALS_CAP:
-        return fit(N_TRIALS_CAP, mu / N_TRIALS_CAP, True, "poisson-like (N capped)")
+        return BinomialFit(N_TRIALS_CAP, mu / N_TRIALS_CAP, True, "poisson-like (N capped)")
     n = mu * mu / denom
     if n < 1.0:
-        return fit(n, mu / n, False, "N below one trial")
-    return fit(n, mu / n, True)
+        return BinomialFit(n, mu / n, False, "N below one trial")
+    return BinomialFit(n, mu / n, True)
 
 
 def fit_binomial_chi(nu: float, sd_chi_num: float, r_c: float, area: float) -> BinomialFit:
     """Tail fit: the magnitude of the analytic mean chi plays the role of N p.
 
     At large positive nu the excursion set is dominated by simply connected
-    components, so chi ~ b0 ~ m_0 (regime ``high_positive``).  At large
-    negative nu it tends to one multiply connected region and chi ~ -b1
-    (``low_negative``), the mirror image under f -> -f.  Either way
-    mu = area |rho_2(nu)| and the numerically measured sd of chi pin down
-    (N, p).
+    components, so chi ~ b0 ~ m_0.  At large negative nu it tends to one
+    multiply connected region and chi ~ -b1, the mirror image under
+    f -> -f.  Either way mu = area |rho_2(nu)| and the numerically measured
+    sd of chi pin down (N, p).
     """
     if not (math.isfinite(nu) and nu != 0):
         raise DomainError(f"the tail fit needs a finite nu != 0, got {nu}")
     if not sd_chi_num > 0:
         raise DomainError("sd_chi_num must be positive")
+    if not (math.isfinite(area) and area > 0):
+        raise DomainError(f"area must be positive and finite, got {area}")
     mu = area * abs(analytic_chi_gaussian(nu, r_c))
-    return _invert_moments(mu, sd_chi_num * sd_chi_num, nu, _tail_regime(nu), "chi")
+    return _invert_moments(mu, sd_chi_num * sd_chi_num)
 
 
-def _tail_regime(nu: float) -> str:
-    return "high_positive" if nu > 0 else "low_negative"
-
-
-def fit_binomial_moments(
-    mean: float, variance: float, nu: float = math.nan, statistic: str = ""
-) -> BinomialFit:
-    """Intermediate-regime fit: treat the statistic itself as one Binomial.
+def fit_binomial_moments(mean: float, variance: float) -> BinomialFit:
+    """Treat a statistic with this mean and variance as one Binomial.
 
     Method of moments: p = 1 - variance/mean, N = mean/p.  A non-positive
     mean or super-Poisson variance has no Binomial solution and is returned
-    flagged invalid rather than raised.
+    flagged invalid rather than raised; a non-finite mean or a NaN variance
+    is rejected.
     """
     if not math.isfinite(mean):
         raise DomainError("mean must be finite")
-    return _invert_moments(mean, variance, nu, "intermediate", statistic)
+    if math.isnan(variance):
+        raise DomainError("variance must not be NaN")
+    return _invert_moments(mean, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +732,12 @@ def normality_trend(
 
 @dataclass
 class FitRow:
+    nu: float
+    statistic: str
+    regime: str  # high_positive | low_negative | intermediate
     fit: BinomialFit
-    tv_binomial: float | None
-    tv_gaussian: float | None
+    tv_binomial: float | None = None
+    tv_gaussian: float | None = None
 
 
 def compute_fits(result: EnsembleResult) -> list[FitRow]:
@@ -772,32 +758,27 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     rows: list[FitRow] = []
     for summary in result.summaries:
         nu = summary.nu
-        if abs(nu) >= REGIME_CUT:
-            if planar and summary.sd["chi"] > 0:
-                fit = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
-            else:  # chi took one value in every realization, or no 3D mean to invert against
-                note = "zero variance" if planar else "no 3D analytic chi"
-                fit = BinomialFit(nu, _tail_regime(nu), 0.0, 0.0, False, "chi", note)
-            samples = result.samples("chi", nu)
-            rows.append(_fit_row(fit, -samples if planar and nu < 0 else samples, enough))
-        else:
-            for stat in STATISTICS:
-                samples = result.samples(stat, nu)
-                fit = fit_binomial_moments(
-                    float(samples.mean()),
-                    float(samples.var(ddof=1)),
-                    nu=nu,
-                    statistic=stat,
-                )
-                rows.append(_fit_row(fit, samples, enough))
+        tail = abs(nu) >= REGIME_CUT
+        for stat in ("chi",) if tail else STATISTICS:
+            samples = result.samples(stat, nu)
+            if tail:
+                regime = "high_positive" if nu > 0 else "low_negative"
+                if planar and summary.sd["chi"] > 0:
+                    fit = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
+                else:  # chi took one value in every realization, or no 3D mean to invert against
+                    note = "zero variance" if planar else "no 3D analytic chi"
+                    fit = BinomialFit(0.0, 0.0, False, note)
+                if planar and nu < 0:
+                    samples = -samples
+            else:
+                regime = "intermediate"
+                fit = fit_binomial_moments(float(samples.mean()), float(samples.var(ddof=1)))
+            row = FitRow(nu, stat, regime, fit)
+            if enough:
+                cmp = pdf_compare(samples, fit)
+                row.tv_binomial, row.tv_gaussian = cmp.tv_binomial, cmp.tv_gaussian
+            rows.append(row)
     return rows
-
-
-def _fit_row(fit: BinomialFit, samples: np.ndarray, enough: bool) -> FitRow:
-    if not enough:
-        return FitRow(fit=fit, tv_binomial=None, tv_gaussian=None)
-    cmp = pdf_compare(samples, fit)
-    return FitRow(fit=fit, tv_binomial=cmp.tv_binomial, tv_gaussian=cmp.tv_gaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +840,10 @@ def write_hist_csvs(result: EnsembleResult, outdir: str | Path) -> None:
 
 
 def write_fits_csv(rows: Sequence[FitRow], path: str | Path, manifest_hash: str) -> None:
-    cols = ["nu", "statistic", "regime", "N", "p", "valid", "tv_binomial", "tv_gaussian"]
+    cols = ["nu", "statistic", "regime", "N", "p", "valid", "tv_binomial", "tv_gaussian", "note"]
     write_csv(path, cols, [
-        [r.fit.nu, r.fit.statistic, r.fit.regime, r.fit.N_fit, r.fit.p_fit,
-         r.fit.valid, r.tv_binomial, r.tv_gaussian]
+        [r.nu, r.statistic, r.regime, r.fit.N_fit, r.fit.p_fit,
+         r.fit.valid, r.tv_binomial, r.tv_gaussian, r.fit.note]
         for r in rows
     ], manifest_hash)
 

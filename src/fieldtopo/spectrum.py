@@ -76,9 +76,6 @@ class SpectralParams:
     sigma1: float
     r_c: float
     q: float
-    dim: int
-    L: float
-    rs: float
 
 
 def eval_power(model: PowerSpectrumModel, k):
@@ -224,6 +221,4 @@ def spectral_params(
         raise DegenerateFieldError("sigma_1^2 = 0: field has no gradient scale")
     r_c = math.sqrt(s0 / s1)
     q = math.inf if math.isinf(L) else packing_fraction(r_c, L, dim)
-    return SpectralParams(
-        sigma0=math.sqrt(s0), sigma1=math.sqrt(s1), r_c=r_c, q=q, dim=dim, L=L, rs=rs
-    )
+    return SpectralParams(sigma0=math.sqrt(s0), sigma1=math.sqrt(s1), r_c=r_c, q=q)

@@ -31,8 +31,6 @@ _COMPOSITION_GUARD = 60
 class StateCount:
     """All three counts for one (b0, b1) pair."""
 
-    n0: int
-    n1: int
     formula_count: int
     vector_count: int
     composition_count: int
@@ -143,8 +141,6 @@ def count_all(n0: int, n1: int, jmax: int | None = None) -> StateCount:
     if jmax is None:
         jmax = max(n1, 0)
     return StateCount(
-        n0=n0,
-        n1=n1,
         formula_count=count_states_formula(n0, n1),
         vector_count=enumerate_vector_states(n0, n1, jmax),
         composition_count=enumerate_composition_states(n0, n1),

@@ -353,8 +353,7 @@ def test_criterion_6_binomial_regimes(reference):
         )
 
     chi0 = reference.samples("chi", 0.0)
-    fit0 = fit_binomial_moments(float(chi0.mean()), float(chi0.var(ddof=1)),
-                                nu=0.0, statistic="chi")
+    fit0 = fit_binomial_moments(float(chi0.mean()), float(chi0.var(ddof=1)))
     if fit0.valid:
         problems.append("chi fit at nu=0 unexpectedly valid")
 
@@ -364,7 +363,7 @@ def test_criterion_6_binomial_regimes(reference):
         for stat in ("b0", "b1"):
             x = reference.samples(stat, nu)
             mean, var = float(x.mean()), float(x.var(ddof=1))
-            fit = fit_binomial_moments(mean, var, nu=nu, statistic=stat)
+            fit = fit_binomial_moments(mean, var)
             cmp = pdf_compare(x, fit if fit.valid else None)
             models = {"gaussian": cmp.tv_gaussian}
             if fit.valid:

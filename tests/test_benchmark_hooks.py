@@ -72,3 +72,18 @@ def test_traced_pool_run_records_every_realization(tmp_path):
     names = [span["name"] for span in tracer.gather()]
     assert names.count("ensemble.realization") == 6
     assert names.count("topo2d.hole_spectrum") == 6 * 3
+
+
+def test_cli_job_writes_the_expected_files(tmp_path):
+    # ref2d's job is `fieldtopo ensemble`: a run whose file count differs from
+    # `expected_outputs` counts every realization as failed
+    wl = dataclasses.asdict(dataclasses.replace(
+        run.WORKLOADS["ref2d"], sides=(32,), thresholds=(-1.0, 0.0, 1.0), n_realizations=4,
+        workers=2, table_side=32,
+    ))
+    configs, cfg_path = worker.build_configs(wl, 7, tmp_path)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    paths = worker.run_job(wl, configs, cfg_path, outdir)
+    assert len(list(outdir.iterdir())) == worker.expected_outputs(wl) == 19
+    assert paths == [outdir / "summary.csv"] and paths[0].exists()

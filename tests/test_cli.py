@@ -181,12 +181,13 @@ class TestSweep:
             (-3.0, 3.0, 0.5, 13),
             (0.0, 1.0, 0.1, 11),
             (-3.0, 3.0, 0.1, 61),  # 6 / 0.1 is just below 60 in floating point
+            (-5.0, 1.3, 0.1, 64),  # -5 + 0.1 * 63 rounds to 1.3000000000000007
         ],
     )
     def test_thresholds_stop_at_nu_max(self, nu_min, nu_max, nu_step, count):
         nus = _sweep_thresholds(nu_min, nu_max, nu_step)
         assert len(nus) == count and nus[0] == nu_min
-        assert 0 <= nu_max - nus[-1] + 1e-12 < nu_step
+        assert 0 <= nu_max - nus[-1] < nu_step
 
     def test_threshold_count_limit(self):
         top = MAX_SWEEP_THRESHOLDS - 1
@@ -305,7 +306,7 @@ class TestEnsembleCommand:
         assert summary[0].endswith(manifest["manifest_hash"])
         fits = (outdir / "fits.csv").read_text().splitlines()
         assert fits[1].split(",") == ["nu", "statistic", "regime", "N", "p",
-                                      "valid", "tv_binomial", "tv_gaussian"]
+                                      "valid", "tv_binomial", "tv_gaussian", "note"]
         assert (outdir / "hist_b0_1.csv").exists()
         assert (outdir / "duality.csv").exists()
         assert not (outdir / "PARTIAL_OUTPUT").exists()
@@ -359,7 +360,7 @@ class TestEnsembleCommand:
         summary = list(csv.DictReader((outdir / "summary.csv").read_text().splitlines()[1:]))
         assert [row["sd_chi"] for row in summary] == ["0"]
         fits = (outdir / "fits.csv").read_text().splitlines()[2:]
-        assert fits == ["3.5,chi,high_positive,0,0,0,,"]
+        assert fits == ["3.5,chi,high_positive,0,0,0,,,zero variance"]
         assert not (outdir / "PARTIAL_OUTPUT").exists()
 
     def test_unknown_key_exits_2(self, tmp_path):

@@ -344,8 +344,11 @@ class TestAnalyticChi:
 
     def test_amplitude_scale(self):
         assert analytic_chi_amplitude(2.0) == pytest.approx(analytic_chi_amplitude(1.0) / 4)
+        for r_c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="r_c must be positive and finite"):
+                analytic_chi_amplitude(r_c)
         with pytest.raises(DomainError):
-            analytic_chi_amplitude(0.0)
+            expected_chi(1.0, math.inf, 10.0)
 
 
 class TestExpectedChi:
@@ -446,7 +449,6 @@ class TestBinomialFits:
         low = fit_binomial_chi(-nu, 5.0, r_c, area)
         assert low.N_fit == pytest.approx(high.N_fit)
         assert low.p_fit == pytest.approx(high.p_fit)
-        assert (high.regime, low.regime) == ("high_positive", "low_negative")
         # mu = 100, sigma^2 = 25: N = 400/3, p = 0.75
         assert low.N_fit == pytest.approx(400.0 / 3.0)
         assert low.p_fit == pytest.approx(0.75)
@@ -455,6 +457,9 @@ class TestBinomialFits:
         for nu in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite nu != 0"):
                 fit_binomial_chi(nu, 1.0, 1.0, 100.0)
+        for area in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="area must be positive and finite"):
+                fit_binomial_chi(1.0, 1.0, 1.0, area)
 
     @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
     def test_non_positive_sd_rejected(self, sd):
@@ -467,13 +472,13 @@ class TestBinomialFits:
             workers=1,
         )
         rows = ens.compute_fits(result)
-        assert [(r.fit.nu, r.fit.statistic, r.fit.regime) for r in rows] == [
+        assert [(r.nu, r.statistic, r.regime) for r in rows] == [
             (-2.0, "chi", "low_negative"),
             *[(0.0, stat, "intermediate") for stat in ("b0", "b1", "chi", "bsum")],
             (2.0, "chi", "high_positive"),
         ]
         for row, sign in [(rows[0], -1), (rows[-1], 1)]:
-            nu = row.fit.nu
+            nu = row.nu
             fit = fit_binomial_chi(nu, result.summary_at(nu).sd["chi"], result.r_c_measured,
                                    result.area)
             assert row.fit == fit
@@ -487,12 +492,12 @@ class TestBinomialFits:
             workers=1,
         )
         rows = ens.compute_fits(result)
-        assert [(r.fit.regime, r.fit.valid) for r in (rows[0], rows[-1])] == [
+        assert [(r.regime, r.fit.valid) for r in (rows[0], rows[-1])] == [
             ("low_negative", False), ("high_positive", False),
         ]
         for row in (rows[0], rows[-1]):
             assert (row.fit.N_fit, row.fit.p_fit, row.fit.note) == (0.0, 0.0, "no 3D analytic chi")
-            cmp = pdf_compare(result.samples("chi", row.fit.nu), None)
+            cmp = pdf_compare(result.samples("chi", row.nu), None)
             assert (row.tv_binomial, row.tv_gaussian) == (None, cmp.tv_gaussian)
 
     def test_moments_algebra(self):
@@ -515,10 +520,19 @@ class TestBinomialFits:
         fit = fit_binomial_moments(mean, variance)
         assert not fit.valid and fit.note == note
 
-    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
-    def test_moments_non_finite_mean_rejected(self, mean):
-        with pytest.raises(DomainError, match="mean must be finite"):
-            fit_binomial_moments(mean, 1.0)
+    @pytest.mark.parametrize(
+        "mean, variance, message",
+        [
+            (math.nan, 1.0, "mean must be finite"),
+            (math.inf, 1.0, "mean must be finite"),
+            (-math.inf, 1.0, "mean must be finite"),
+            (5.0, math.nan, "variance must not be NaN"),
+        ],
+        ids=["nan", "inf", "-inf", "nan-variance"],
+    )
+    def test_moments_non_finite_mean_rejected(self, mean, variance, message):
+        with pytest.raises(DomainError, match=message):
+            fit_binomial_moments(mean, variance)
 
 
 class TestPdfCompare:

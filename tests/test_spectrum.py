@@ -236,5 +236,4 @@ class TestSpectralParams:
     def test_identities(self):
         params = spectral_params(FLAT, rs=2.0, L=256.0, dim=2)
         assert params.r_c == pytest.approx(params.sigma0 / params.sigma1, rel=1e-12)
-        assert params.q == pytest.approx((params.L / params.r_c) ** params.dim, rel=1e-12)
-        assert params.dim == 2 and params.rs == 2.0
+        assert params.q == pytest.approx((256.0 / params.r_c) ** 2, rel=1e-12)
