@@ -35,7 +35,7 @@ print(f"{config.n_realizations} realizations of {config.side}^2 "
       f"in {time.perf_counter() - start:.1f}s")
 
 r_c = result.r_c_measured
-area = result.area
+area = result.config.area
 L = config.L
 print(f"measured r_c = {r_c:.3f} (smoothing rs = {config.rs})")
 

@@ -168,10 +168,10 @@ SWEEP_COLUMNS = ("nu", "b0", "b1", "b2", "chi", "bsum", "jmax", "m_spectrum")
 
 def _sweep_row(nu: float, mask: ExcursionMask) -> list:
     """One `sweep` row, in `SWEEP_COLUMNS` order, for the mask made at threshold nu."""
-    st, counts = ens.measure_mask(mask)
+    st, hs = ens.measure_mask(mask)
     return [
-        nu, st.b0, st.b1, st.b2, st.chi, st.bsum, max(counts, default=0),
-        json.dumps({str(j): m for j, m in counts.items()}, sort_keys=True),
+        nu, st.b0, st.b1, st.b2, st.chi, st.bsum, hs.jmax,
+        json.dumps({str(j): m for j, m in hs.counts.items()}, sort_keys=True),
     ]
 
 
@@ -314,15 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (FieldtopoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, FieldtopoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ConfigError):
+            return 2
+        return 3 if isinstance(exc, (FormatError, OSError)) else 4
 
 
 if __name__ == "__main__":

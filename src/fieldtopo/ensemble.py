@@ -186,7 +186,6 @@ class ThresholdSummary:
     cov_b0b1: float
     mean_mj: dict[int, float] = dataclass_field(default_factory=dict)
     var_mj: dict[int, float] = dataclass_field(default_factory=dict)
-    histograms: dict[str, dict[int, int]] = dataclass_field(default_factory=dict)
 
     def se(self, stat: str) -> float:
         """Standard error of the ensemble mean of ``stat``."""
@@ -201,10 +200,6 @@ class EnsembleResult:
     mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1)
     sigma0s: np.ndarray
     sigma1s: np.ndarray
-
-    @property
-    def area(self) -> float:
-        return self.config.area
 
     @property
     def r_c_measured(self) -> float:
@@ -239,16 +234,16 @@ class EnsembleResult:
 # the pipeline
 
 
-def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, dict[int, int]]:
-    """Topological statistics of one mask and its hole spectrum {j: m_j}.
+def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, HoleSpectrum]:
+    """Topological statistics of one mask and its hole spectrum.
 
     A 3D mask goes to `betti3d` and has an empty spectrum; a 2D mask goes
     to `hole_spectrum`.
     """
     if mask.dim == 3:
-        return betti3d(mask), {}
+        return betti3d(mask), HoleSpectrum()
     hs = hole_spectrum(mask)
-    return topo_stats_from_spectrum(hs), hs.counts
+    return topo_stats_from_spectrum(hs), hs
 
 
 def _realize(config: EnsembleConfig, index: int) -> dict:
@@ -271,13 +266,13 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
         sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
         for t, nu in enumerate(config.thresholds):
             mask = excursion_mask(field, nu, sigma)
-            st, counts = measure_mask(mask)
+            st, hs = measure_mask(mask)
             # betti3d's chi is the closed-cell count; in 2D the whole-mask count
-            # checks the per-component block sums that the hole counts come from
+            # checks the run graph's runs minus edges, which the hole counts come from
             chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
-            row = {"jmax": max(counts, default=0), "chi_cell": chi_cell, "bg": st.n_background}
+            row = {"jmax": hs.jmax, "chi_cell": chi_cell, "bg": st.n_background}
             table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
-            mj.append(counts)
+            mj.append(hs.counts)
     except FieldtopoError as exc:
         site = f"realization {index}, seed ({config.master_seed}, {index})"
         if nu is not None:
@@ -322,10 +317,6 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
             for j, v in enumerate(mjt.var(axis=0, ddof=1))
             if j in mean_mj
         }
-        histograms = {}
-        for name in STAT_NAMES:
-            vals, counts = np.unique(stats[name][:, t], return_counts=True)
-            histograms[name] = {int(v): int(c) for v, c in zip(vals, counts)}
         summaries.append(
             ThresholdSummary(
                 nu=nu,
@@ -335,7 +326,6 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
                 cov_b0b1=float(np.cov(x["b0"], x["b1"])[0, 1]),
                 mean_mj=mean_mj,
                 var_mj=var_mj,
-                histograms=histograms,
             )
         )
 
@@ -551,6 +541,8 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
     samples = np.asarray(samples)
     if samples.size < MIN_PDF_SAMPLES:
         raise DomainError(f"pdf_compare needs at least {MIN_PDF_SAMPLES} samples")
+    if not np.isfinite(samples).all():
+        raise DomainError("pdf_compare needs finite samples")
     values = np.rint(samples).astype(np.int64)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
@@ -752,7 +744,7 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     attached when there are enough realizations for a PDF comparison.
     """
     r_c = result.r_c_measured
-    area = result.area
+    area = result.config.area
     enough = result.config.n_realizations >= MIN_PDF_SAMPLES
     planar = result.config.dim == 2
     rows: list[FitRow] = []
@@ -817,7 +809,7 @@ def write_summary_csv(result: EnsembleResult, path: str | Path) -> None:
         *(f"sd_{stat}" for stat in STATISTICS), "cov_b0b1",
         *(f"mean_{stat}_per_area" for stat in STATISTICS),
     ]
-    area = result.area
+    area = result.config.area
     rows = [
         [
             s.nu, s.n_realizations, area,
@@ -833,10 +825,11 @@ def write_summary_csv(result: EnsembleResult, path: str | Path) -> None:
 def write_hist_csvs(result: EnsembleResult, outdir: str | Path) -> None:
     """One hist_<stat>_<nu>.csv per statistic and threshold, nu as in the CSVs."""
     mh = result.config.manifest_hash()
-    for s in result.summaries:
+    for t, nu in enumerate(result.config.thresholds):
         for stat in STAT_NAMES:
-            path = Path(outdir) / f"hist_{stat}_{s.nu:{FLOAT_FORMAT}}.csv"
-            write_csv(path, ["bin", "count"], sorted(s.histograms.get(stat, {}).items()), mh)
+            bins, counts = np.unique(result.stats[stat][:, t], return_counts=True)
+            path = Path(outdir) / f"hist_{stat}_{nu:{FLOAT_FORMAT}}.csv"
+            write_csv(path, ["bin", "count"], zip(bins.tolist(), counts.tolist()), mh)
 
 
 def write_fits_csv(rows: Sequence[FitRow], path: str | Path, manifest_hash: str) -> None:

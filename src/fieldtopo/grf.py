@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .spectrum import PowerSpectrumModel, eval_power
+from .spectrum import PowerSpectrumModel, check_rs, eval_power
 
 _MAGIC = b"EXTF"
 _VERSION = 1
@@ -51,10 +51,6 @@ class FieldGrid:
                 f"values shape {self.values.shape} does not match {expected}"
             )
 
-    @property
-    def pixel_size(self) -> float:
-        return self.L / self.side
-
 
 class FieldMoments(NamedTuple):
     mean: float
@@ -77,11 +73,6 @@ def _k_squared(side: int, L: float, dim: int, drop_nyquist: bool = False) -> np.
             k[side // 2] = 0.0
         k2 = k2 + (k * k).reshape([-1 if i == axis else 1 for i in range(dim)])
     return k2
-
-
-def _check_rs(rs: float) -> None:
-    if not (math.isfinite(rs) and rs >= 0):
-        raise DomainError(f"smoothing length must be finite and >= 0, got {rs}")
 
 
 def _filter(values: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -130,7 +121,7 @@ def generate(
         raise ConfigError(f"grid side must be a power of two >= 32, got {side}")
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"box size must be finite and positive, got {L}")
-    _check_rs(rs)
+    check_rs(rs)
     try:
         volume = float(L) ** dim  # a Python float power: np.errstate does not cover it
     except OverflowError as exc:
@@ -162,7 +153,7 @@ def smooth(field: FieldGrid, rs: float) -> FieldGrid:
     smooth(smooth(f, a), b) == smooth(f, sqrt(a^2 + b^2)).  A field drawn by
     `generate` takes its smoothing there, in the same transform pass.
     """
-    _check_rs(rs)
+    check_rs(rs)
     if rs == 0.0:
         return replace(field, values=field.values.copy())
     k2 = _k_squared(field.side, field.L, field.dim)
@@ -220,6 +211,8 @@ def load_field(path: str | Path) -> FieldGrid:
     """Read a binary field dump written by :func:`save_field`.
 
     A missing sidecar is tolerated (L defaults to the grid side, seed to -1).
+    An empty grid, or a sidecar whose L is not finite and > 0 or whose
+    ``rs_applied`` is not finite and >= 0, raises `FormatError`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -233,6 +226,8 @@ def load_field(path: str | Path) -> FieldGrid:
             raise FormatError(f"{path}: unsupported version {version}")
         if dim not in (2, 3):
             raise FormatError(f"{path}: bad dimension {dim}")
+        if side == 0:
+            raise FormatError(f"{path}: empty grid (side 0)")
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != side**dim:
         raise FormatError(
@@ -252,8 +247,11 @@ def load_field(path: str | Path) -> FieldGrid:
                 if not isinstance(sidecar, dict):
                     raise ValueError("not a JSON object")
                 L = float(sidecar.get("L", L))
+                if not (math.isfinite(L) and L > 0):
+                    raise ValueError(f"box size L must be finite and > 0, got {L}")
                 rs_applied = float(sidecar.get("rs_applied", 0.0))
-            except (ValueError, TypeError) as exc:
+                check_rs(rs_applied)
+            except (ValueError, TypeError, DomainError) as exc:
                 raise FormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
         seed = sidecar.get("seed", -1)
         if isinstance(seed, list):

@@ -78,10 +78,16 @@ class SpectralParams:
     q: float
 
 
+def check_rs(rs: float) -> None:
+    """Require a smoothing length that is finite and >= 0."""
+    if not (math.isfinite(rs) and rs >= 0):
+        raise DomainError(f"smoothing length must be finite and >= 0, got {rs}")
+
+
 def eval_power(model: PowerSpectrumModel, k):
     """Evaluate P(k); zero outside the cutoff window.  Requires k > 0."""
     karr = np.asarray(k, dtype=float)
-    if np.any(karr <= 0):
+    if not np.all(karr > 0):  # NaN fails it too
         raise DomainError("eval_power requires k > 0")
     out = model.amplitude * karr**model.alpha
     if model.k_low_cutoff is not None:
@@ -129,8 +135,7 @@ def spectral_moment(
         raise DomainError(f"dim must be 2 or 3, got {dim}")
     if n < 0:
         raise DomainError("moment order n must be >= 0")
-    if rs < 0:
-        raise DomainError("smoothing length must be >= 0")
+    check_rs(rs)
     if not kmin < kmax:
         raise DomainError(f"require kmin < kmax, got [{kmin}, {kmax}]")
     if kmin < 0:
@@ -198,7 +203,7 @@ def correlation_length(
 
 def packing_fraction(r_c: float, L: float, dim: int) -> float:
     """Number of r_c-sized structures fitting in a d-dimensional box: (L/r_c)^d."""
-    if r_c <= 0 or L <= 0:
+    if not (r_c > 0 and L > 0):
         raise DomainError("packing_fraction requires r_c > 0 and L > 0")
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
@@ -212,7 +217,9 @@ def spectral_params(
     dim: int,
     kmax: float | None = None,
 ) -> SpectralParams:
-    """Bundle sigma0, sigma1, r_c and q for one observation setup."""
+    """Bundle sigma0, sigma1, r_c and q for one observation setup; L = inf is the plane."""
+    if not L > 0:
+        raise DomainError(f"box size L must be > 0, got {L}")
     kmin = 0.0 if math.isinf(L) else 2.0 * math.pi / L
     hi = math.inf if kmax is None else kmax
     s0 = spectral_moment(model, 0, rs, kmin, hi, dim)

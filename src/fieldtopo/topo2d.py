@@ -43,6 +43,8 @@ class ExcursionMask:
             self.bits = self.bits.astype(bool)
         if self.bits.ndim not in (2, 3):
             raise DomainError(f"mask must be 2D or 3D, got {self.bits.ndim}D")
+        if 0 in self.bits.shape:
+            raise DomainError(f"mask has an empty axis: shape {self.bits.shape}")
 
     @property
     def dim(self) -> int:
@@ -75,10 +77,6 @@ class HoleSpectrum:
     def jmax(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    @property
-    def n_components(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass
 class TopoStats:
@@ -103,9 +101,16 @@ class TopoStats:
 
 
 def excursion_mask(field: FieldGrid, nu: float, sigma0: float) -> ExcursionMask:
-    """Threshold a field at nu * sigma0, with sigma0 as its caller resolved it."""
+    """Threshold a field at nu * sigma0, with sigma0 as its caller resolved it.
+
+    nu = -inf and +inf give the full and the empty mask.  A NaN nu, or a
+    sigma0 that is not finite and > 0, has no level and raises: it would
+    give an empty mask that reads as a measured one.
+    """
     if not sigma0 > 0.0:
         raise DegenerateFieldError(f"sigma0 = {sigma0}: cannot threshold a flat or NaN field")
+    if math.isnan(nu) or math.isinf(sigma0):
+        raise DomainError(f"nu = {nu} with sigma0 = {sigma0}: no threshold level")
     return ExcursionMask(bits=field.values >= nu * sigma0)
 
 

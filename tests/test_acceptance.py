@@ -137,7 +137,7 @@ def test_diagnostic_chi_with_boundary_term(reference):
     """
     r_c = reference.r_c_measured
     L = reference.config.L
-    area = reference.area
+    area = reference.config.area
     worst = 0.0
     for summary in reference.summaries:
         nu = summary.nu
@@ -329,7 +329,7 @@ def gaussian_tv_to_poisson(mean: float, sd: float) -> float:
 
 def test_criterion_6_binomial_regimes(reference):
     r_c = reference.r_c_measured
-    area = reference.area
+    area = reference.config.area
     problems = []
 
     # high-threshold regime: analytic-mean inversion on chi (~ b0 there)

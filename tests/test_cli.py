@@ -675,6 +675,20 @@ def switch(flag: str):
     return st.sampled_from([[], [flag]])
 
 
+#: the field dumps of the fuzz directory, each with the exit codes of a plain
+#: `sweep` of it and of a `sweep --mask`; `fuzz_dir` writes them
+FUZZ_DUMPS = {
+    "field.bin": (0, 0), "junk.bin": (3, 3), "missing.bin": (3, 3),
+    "empty2.bin": (3, 3), "empty3.bin": (3, 3),
+    "side1.bin": (4, 0),  # one sample: sigma0 = 0 leaves nothing to threshold by
+    "side2.bin": (0, 0),
+    "dim0.bin": (3, 3), "dim4.bin": (3, 3), "truncated.bin": (3, 3),
+    "nan.bin": (3, 3), "inf.bin": (3, 3), "magic.bin": (3, 3), "version.bin": (3, 3),
+    "no_sidecar.bin": (0, 0), "list_sidecar.bin": (3, 3),
+    "L_nan.bin": (3, 3), "L_neg.bin": (3, 3), "L_zero.bin": (3, 3), "L_abc.bin": (3, 3),
+    "rs_nan.bin": (3, 3), "rs_neg.bin": (3, 3),
+}
+
 #: argv by subcommand; @DIR stands for the fuzz directory
 FUZZ_ARGV = {
     "gen": st.tuples(
@@ -688,7 +702,7 @@ FUZZ_ARGV = {
         st.just(["--out=@DIR/gen.bin"]),
     ),
     "sweep": st.tuples(
-        hostile_or("field.bin", "junk.bin", "missing.bin").map(lambda f: [f"--field=@DIR/{f}"]),
+        hostile_or(*FUZZ_DUMPS).map(lambda f: [f"--field=@DIR/{f}"]),
         options(
             nu_min=hostile_or("-1"), nu_max=hostile_or("1", "2"),
             nu_step=hostile_or("0.5"), sigma_mode=hostile_or("sample", "1.5"),
@@ -715,6 +729,37 @@ def fuzz_dir(tmp_path_factory):
     assert main(["gen", "--n", "32", "--boxsize", "32", "--rs", "1",
                  "--out", str(root / "field.bin")]) == 0
     (root / "junk.bin").write_bytes(b"not a field dump")
+    rng = np.random.default_rng(0)
+    for name, dim, side in [("empty2", 2, 0), ("empty3", 3, 0), ("side1", 2, 1), ("side2", 3, 2)]:
+        field = FieldGrid(dim=dim, side=side, L=1.0, values=rng.random((side,) * dim), seed=0)
+        save_field(field, root / f"{name}.bin")
+
+    raw = (root / "field.bin").read_bytes()
+    sidecar = (root / "field.bin.json").read_text()
+
+    def variant(name: str, dump: bytes = raw, sidecar: str | None = sidecar) -> None:
+        (root / name).write_bytes(dump)
+        if sidecar is not None:
+            (root / f"{name}.json").write_text(sidecar)
+
+    def sample(value: float) -> bytes:  # the dump with its first sample replaced
+        return raw[:32] + np.array([value], dtype="<f8").tobytes() + raw[40:]
+
+    variant("dim0.bin", raw[:6] + (0).to_bytes(2, "little") + raw[8:])
+    variant("dim4.bin", raw[:6] + (4).to_bytes(2, "little") + raw[8:])
+    variant("truncated.bin", raw[:-8])
+    variant("nan.bin", sample(math.nan))
+    variant("inf.bin", sample(math.inf))
+    variant("magic.bin", b"FTXE" + raw[4:])
+    variant("version.bin", raw[:4] + (2).to_bytes(2, "little") + raw[6:])
+    variant("no_sidecar.bin", sidecar=None)
+    variant("list_sidecar.bin", sidecar="[1, 2]")
+    for name, text in [
+        ("L_nan", '{"L": NaN}'), ("L_neg", '{"L": -1}'), ("L_zero", '{"L": 0}'),
+        ("L_abc", '{"L": "abc"}'), ("rs_nan", '{"rs_applied": NaN}'),
+        ("rs_neg", '{"rs_applied": -1}'),
+    ]:
+        variant(f"{name}.bin", sidecar=text)
     return root
 
 
@@ -738,3 +783,9 @@ class TestMainFuzz:
         except SystemExit as exc:  # argparse refuses the argv
             code = exc.code
         assert code in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("mask", [False, True])
+    @pytest.mark.parametrize("dump", sorted(FUZZ_DUMPS))
+    def test_sweep_of_every_dump_exits_as_documented(self, fuzz_dir, dump, mask):
+        argv = ["sweep", f"--field={fuzz_dir / dump}", f"--out={fuzz_dir / 'sweep.csv'}"]
+        assert main(argv + ["--mask"] * mask) == FUZZ_DUMPS[dump][mask]

@@ -67,16 +67,16 @@ class TestMeasureMask:
         bits[1:6, 1:6] = True
         bits[2, 2] = bits[4, 4] = False
         bits[7, 7] = True
-        st, counts = measure_mask(ExcursionMask(bits=bits))
-        assert counts == {0: 1, 2: 1}
+        st, hs = measure_mask(ExcursionMask(bits=bits))
+        assert (hs.counts, hs.jmax) == ({0: 1, 2: 1}, 2)
         assert (st.b0, st.b1, st.b2, st.chi) == (2, 2, 0, 0)
 
     def test_3d_mask_has_empty_spectrum(self):
         bits = np.zeros((5, 5, 5), dtype=bool)
         bits[1:4, 1:4, 1:4] = True
         bits[2, 2, 2] = False
-        st, counts = measure_mask(ExcursionMask(bits=bits))
-        assert counts == {}
+        st, hs = measure_mask(ExcursionMask(bits=bits))
+        assert (hs.counts, hs.jmax) == ({}, 0)
         assert (st.b0, st.b1, st.b2, st.chi) == (1, 0, 1, 2)
 
 
@@ -307,10 +307,15 @@ class TestRunEnsemble:
         s = quick_result.summary_at(0.0)
         assert s.mean_mj and sum(s.mean_mj.values()) == pytest.approx(s.mean["b0"])
 
-    def test_histograms_cover_all_realizations(self, quick_result):
-        for s in quick_result.summaries:
+    def test_histograms_cover_all_realizations(self, quick_result, tmp_path):
+        ens.write_hist_csvs(quick_result, tmp_path)
+        for nu in quick_result.config.thresholds:
             for stat in ("b0", "b1", "chi", "bsum"):
-                assert sum(s.histograms[stat].values()) == s.n_realizations
+                path = tmp_path / f"hist_{stat}_{nu:.12g}.csv"
+                _, header, *rows = path.read_text().splitlines()
+                assert header == "bin,count"
+                total = sum(int(row.split(",")[1]) for row in rows)
+                assert total == quick_result.config.n_realizations
 
     def test_samples_accessor(self, quick_result):
         x = quick_result.samples("b0", 1.0)
@@ -480,7 +485,7 @@ class TestBinomialFits:
         for row, sign in [(rows[0], -1), (rows[-1], 1)]:
             nu = row.nu
             fit = fit_binomial_chi(nu, result.summary_at(nu).sd["chi"], result.r_c_measured,
-                                   result.area)
+                                   result.config.area)
             assert row.fit == fit
             cmp = pdf_compare(sign * result.samples("chi", nu), fit if fit.valid else None)
             assert (row.tv_binomial, row.tv_gaussian) == (cmp.tv_binomial, cmp.tv_gaussian)
@@ -584,6 +589,13 @@ print(json.dumps({{"N": fit.N_fit, "bins": len(cmp.bins), "tv": cmp.tv_binomial,
         assert out["N"] == N_TRIALS_CAP and out["bins"] < 100
         assert math.isfinite(out["tv"])
         assert out["tv"] == pytest.approx(out["tv_poisson"], abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(150)
+        samples[7] = bad
+        with pytest.raises(DomainError, match="finite samples"):
+            pdf_compare(samples, None)
 
     def test_needs_hundred_samples(self):
         with pytest.raises(DomainError):

@@ -171,7 +171,7 @@ class TestSmooth:
 def spectral_gradient_sigma1(field: FieldGrid) -> float:
     """RMS gradient from full complex transforms: fftn, then ifftn(i k_d F).real per axis."""
     spec = np.fft.fftn(field.values)
-    k1 = 2.0 * np.pi * np.fft.fftfreq(field.side, d=field.pixel_size)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(field.side, d=field.L / field.side)
     grad_sq = np.zeros(field.values.shape)
     for d in range(field.dim):
         shape = [1] * field.dim
@@ -279,3 +279,28 @@ class TestFieldIO:
         path.with_name(path.name + ".json").unlink()
         g = load_field(path)
         assert g.L == 32.0 and g.seed == -1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_grid_rejected(self, tmp_path, dim):
+        path = tmp_path / "empty.bin"
+        save_field(FieldGrid(dim=dim, side=0, L=1.0, values=np.zeros((0,) * dim), seed=0), path)
+        with pytest.raises(FormatError, match="empty grid"):
+            load_field(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ('{"L": NaN}', "box size L"),
+            ('{"L": Infinity}', "box size L"),
+            ('{"L": -5}', "box size L"),
+            ('{"L": 0}', "box size L"),
+            ('{"rs_applied": NaN}', "smoothing length"),
+            ('{"rs_applied": -1}', "smoothing length"),
+        ],
+    )
+    def test_sidecar_that_does_not_describe_a_box_rejected(self, tmp_path, sidecar, message):
+        path = tmp_path / "field.bin"
+        save_field(generate(FLAT, 32, 32.0, 2, seed=1), path)
+        path.with_name(path.name + ".json").write_text(sidecar)
+        with pytest.raises(FormatError, match=message):
+            load_field(path)

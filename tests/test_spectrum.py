@@ -50,6 +50,10 @@ class TestEvalPower:
             eval_power(FLAT, 0.0)
         with pytest.raises(DomainError):
             eval_power(FLAT, -1.0)
+        with pytest.raises(DomainError):
+            eval_power(FLAT, math.nan)
+        with pytest.raises(DomainError):
+            eval_power(FLAT, np.array([1.0, math.nan]))
 
     def test_vectorized(self):
         out = eval_power(PowerSpectrumModel(2.0, 1.0), np.array([1.0, 2.0]))
@@ -133,6 +137,8 @@ class TestSpectralMoment:
             (0, 1.0, 0.0, 4, "dim must be 2 or 3"),
             (-1, 1.0, 0.0, 2, "moment order"),
             (0, -1.0, 0.0, 2, "smoothing length"),
+            (0, math.nan, 0.0, 2, "smoothing length"),
+            (1, math.inf, 0.0, 3, "smoothing length"),
             (0, 1.0, -1.0, 2, "kmin must be >= 0"),
         ],
     )
@@ -207,6 +213,10 @@ class TestPackingFraction:
             packing_fraction(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             packing_fraction(1.0, -1.0, 2)
+        with pytest.raises(DomainError):
+            packing_fraction(math.nan, 1.0, 2)
+        with pytest.raises(DomainError):
+            packing_fraction(1.0, math.nan, 2)
 
     def test_rejects_dim_4(self):
         with pytest.raises(DomainError, match="dim must be 2 or 3"):
@@ -233,6 +243,17 @@ class TestPackingFraction:
 
 
 class TestSpectralParams:
+    @pytest.mark.parametrize("L", [0.0, -1.0, -math.inf, math.nan])
+    def test_bad_box_rejected(self, L):
+        with pytest.raises(DomainError, match="box size L"):
+            spectral_params(FLAT, 1.0, L, 2)
+        with pytest.raises(DomainError, match="box size L"):
+            correlation_length(FLAT, rs=1.0, L=L, dim=2)
+
+    def test_nan_rs_rejected(self):
+        with pytest.raises(DomainError, match="smoothing length"):
+            correlation_length(FLAT, rs=math.nan, L=64.0, dim=2)
+
     def test_identities(self):
         params = spectral_params(FLAT, rs=2.0, L=256.0, dim=2)
         assert params.r_c == pytest.approx(params.sigma0 / params.sigma1, rel=1e-12)
