@@ -541,8 +541,8 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
     samples = np.asarray(samples)
     if samples.size < MIN_PDF_SAMPLES:
         raise DomainError(f"pdf_compare needs at least {MIN_PDF_SAMPLES} samples")
-    if not np.isfinite(samples).all():
-        raise DomainError("pdf_compare needs finite samples")
+    if not (np.abs(samples) < 2.0**63).all():  # NaN and inf fail too; larger ones wrap in the cast
+        raise DomainError("pdf_compare needs finite samples within the int64 range")
     values = np.rint(samples).astype(np.int64)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))

@@ -114,7 +114,7 @@ def excursion_mask(field: FieldGrid, nu: float, sigma0: float) -> ExcursionMask:
     return ExcursionMask(bits=field.values >= nu * sigma0)
 
 
-def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, ...]:
     """The runs of set cells of ``bits`` (2D or 3D) and the graph of their contacts.
 
     A run is a maximal stretch of set cells along the last axis; the other
@@ -124,8 +124,8 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, np.ndarray,
     axis step apart join when they share a position (4 or 6).  Returns:
 
     - ``root``: each run's component, as the smallest run index in it;
-    - ``edges``: for each edge, the run it leaves; every joined pair of runs
-      is one edge, and both ends have the same root;
+    - ``u``, ``v``: for each edge, the run it leaves and the later run it
+      reaches; each joined pair of runs is one edge, both ends under one root;
     - ``frame``: True at the roots of the components with a run in a line on
       the frame or starting or ending at a face of the last axis.
 
@@ -134,21 +134,23 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, np.ndarray,
     a neighbour line never wraps onto a real one.  A run is the flat keys
     [start, end) of its cells, and ``seen[k]`` counts the run boundaries at
     or before key k: seen[k] // 2 runs end and (seen[k] + 1) // 2 start at or
-    before k.  That gives every run its range of joined runs in each forward
-    neighbour line.  A vectorised union-find then hooks the larger root of
-    every edge onto the smaller (``np.minimum.at``) and jumps pointers to
-    their roots, until every edge joins one root.
+    before k.  It is constant between boundaries, so it is filled run-length
+    (``np.repeat`` over their gaps), not summed cell by cell.  That gives
+    every run its range of joined runs in each forward neighbour line.  A
+    vectorised union-find then hooks the larger root of every edge onto the
+    smaller (``np.minimum.at``) and jumps pointers to their roots, until
+    every edge joins one root.
     """
     *line_shape, n = bits.shape
     width = n + 1
     grid = tuple(s + 1 for s in line_shape)
     flat = np.zeros(1 + math.prod(grid) * width, dtype=bool)
     flat[1:].reshape(*grid, width)[tuple(slice(s) for s in line_shape) + (slice(n),)] = bits
-    boundary = flat[1:] != flat[:-1]
-    keys = np.flatnonzero(boundary)
+    keys = np.flatnonzero(flat[1:] != flat[:-1])
     starts, ends = keys[0::2], keys[1::2]
-    # int32 unless the count could overflow it: the int64 pass is up to 3x slower here
-    seen = np.cumsum(boundary, dtype=np.int32 if keys.size < 2**31 else np.int64)
+    # int32 unless the count could overflow it: half the bytes to fill and to gather from
+    levels = np.arange(keys.size + 1, dtype=np.int32 if keys.size < 2**31 else np.int64)
+    seen = np.repeat(levels, np.diff(keys, prepend=0, append=flat.size - 1))
     n_runs = starts.size
 
     # forward neighbour lines, as line offsets: the next row in 2D; in 3D
@@ -189,7 +191,7 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, np.ndarray,
     on_frame = frame_line.ravel()[line] | (starts == line * width) | (ends == line * width + n)
     frame = np.zeros(n_runs, dtype=bool)
     frame[root[on_frame]] = True
-    return root, u, frame
+    return root, u, v, frame
 
 
 def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
@@ -214,10 +216,10 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     """
     if mask.dim != 2:
         raise DomainError("hole_spectrum is defined for 2D masks")
-    root, edges, frame = run_graph(mask.bits, touching=True)
+    root, u, _, frame = run_graph(mask.bits, touching=True)
     roots = np.flatnonzero(root == np.arange(root.size))
     runs = np.bincount(root)[roots]
-    holes = np.bincount(root[edges], minlength=root.size)[roots] - runs + 1
+    holes = np.bincount(root[u], minlength=root.size)[roots] - runs + 1
     m = np.bincount(holes)
 
     b = mask.bits  # the boundary loop, clockwise; a corner pixel shows on both its sides

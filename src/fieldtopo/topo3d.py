@@ -33,9 +33,9 @@ def betti3d(mask: ExcursionMask) -> TopoStats:
     """
     if mask.dim != 3:
         raise DomainError("betti3d is defined for 3D masks")
-    root, _, _ = run_graph(mask.bits, touching=True)
+    root, _, _, _ = run_graph(mask.bits, touching=True)
     b0 = int(np.count_nonzero(root == np.arange(root.size)))
-    root, _, frame = run_graph(~mask.bits, touching=False)
+    root, _, _, frame = run_graph(~mask.bits, touching=False)
     n_bg = int(np.count_nonzero(root == np.arange(root.size)))
     b2 = n_bg - int(np.count_nonzero(frame))
 

@@ -597,6 +597,12 @@ print(json.dumps({{"N": fit.N_fit, "bins": len(cmp.bins), "tv": cmp.tv_binomial,
         with pytest.raises(DomainError, match="finite samples"):
             pdf_compare(samples, None)
 
+    @pytest.mark.parametrize("bad", [1e300, -1e300, 2.0**63])
+    def test_samples_beyond_int64_rejected(self, bad):
+        # rounding them to int64 would wrap them onto bins near -9.2e18
+        with pytest.raises(DomainError, match="int64 range"):
+            pdf_compare(np.full(150, bad), None)
+
     def test_needs_hundred_samples(self):
         with pytest.raises(DomainError):
             pdf_compare(np.ones(99), None)

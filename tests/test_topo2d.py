@@ -34,6 +34,7 @@ from fieldtopo import (
 )
 from fieldtopo.errors import DegenerateFieldError, DomainError
 from fieldtopo.grf import FieldGrid
+from fieldtopo.topo2d import run_graph
 
 
 def mask_of(array) -> ExcursionMask:
@@ -351,6 +352,85 @@ class TestAgainstTwoLabelingOracle:
         monkeypatch.setattr(ndimage, "label", refuse)
         hs = hole_spectrum(mask_of(bits))
         assert (hs.counts, hs.n_background) == ({2: 1}, 2)
+
+
+def pairwise_run_graph(bits, touching) -> tuple[list, list, list]:
+    """`run_graph`'s (edges, root, frame), with every pair of runs tested for contact.
+
+    Runs are found cell by cell and numbered in C order of their lines.  Two
+    runs join when their lines are one step apart along every line axis
+    (``touching``) or along exactly one, and their closed cells meet
+    (``touching``) or they share a position.  An edge is (earlier, later).
+    """
+    *line_shape, n = bits.shape
+    runs = []
+    for line in np.ndindex(*line_shape):
+        start = None
+        for x, bit in enumerate([*bits[line].tolist(), False]):
+            if bit and start is None:
+                start = x
+            elif not bit and start is not None:
+                runs.append((line, start, x))
+                start = None
+    edges = []
+    for a, (line_a, start_a, end_a) in enumerate(runs):
+        for b, (line_b, start_b, end_b) in enumerate(runs):
+            step = tuple(j - i for i, j in zip(line_a, line_b))
+            near = max(map(abs, step)) == 1 if touching else sum(map(abs, step)) == 1
+            overlap = min(end_a, end_b) - max(start_a, start_b)
+            if near and step > (0,) * len(step) and overlap >= (0 if touching else 1):
+                edges.append((a, b))
+
+    root = list(range(len(runs)))
+
+    def find(r):
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    root = [find(r) for r in range(len(runs))]
+    frame = [False] * len(runs)
+    for r, (line, start, end) in enumerate(runs):
+        if start == 0 or end == n or any(i in (0, s - 1) for i, s in zip(line, line_shape)):
+            frame[root[r]] = True
+    return sorted(edges), root, frame
+
+
+class TestRunGraphAgainstPairwiseOverlaps:
+    """The exact edge set, roots and frame flags of `run_graph`, 2D and 3D."""
+
+    @staticmethod
+    def check(bits, touching):
+        root, u, v, frame = run_graph(np.asarray(bits, dtype=bool), touching)
+        got = (sorted(zip(u.tolist(), v.tolist())), root.tolist(), frame.tolist())
+        assert got == pairwise_run_graph(np.asarray(bits, dtype=bool), touching)
+
+    @pytest.mark.parametrize("touching", [True, False])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_masks(self, dim, touching):
+        rng = np.random.default_rng(dim + 2 * touching)
+        for _ in range(150):
+            shape = tuple(rng.integers(1, 9 if dim == 2 else 6, size=dim))
+            self.check(rng.random(shape) < rng.uniform(0.0, 1.0), touching)
+
+    @pytest.mark.parametrize("touching", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7), (1, 1, 1), (3, 4, 5)])
+    def test_first_and_last_cells_empty_and_full(self, shape, touching):
+        # the first cell is key 0 and the last real cell ends next to the final gap
+        first, last = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        first.flat[0] = last.flat[-1] = True
+        for bits in (first, last, first | last, ~(first | last), np.zeros(shape), np.ones(shape)):
+            self.check(bits, touching)
+
+    def test_diagonal_contacts_join_only_when_touching(self):
+        bits = np.eye(4, dtype=bool)
+        self.check(bits, True)
+        self.check(bits, False)
+        assert run_graph(bits, True)[0].tolist() == [0, 0, 0, 0]
+        assert run_graph(bits, False)[0].tolist() == [0, 1, 2, 3]
 
 
 class TestBackgroundCount:

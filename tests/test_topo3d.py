@@ -175,7 +175,7 @@ class TestRunGraphAgainstTwoLabelings:
         # the complement: the exterior and the cavity, around the shell and the island
         assert run_graph_counts(~bits) == two_labeling_counts(~bits) == (2, 2, 2)
 
-    @pytest.mark.parametrize("rs", [1.0, 3.0])
+    @pytest.mark.parametrize("rs", [0.0, 1.0, 3.0])
     def test_smoothed_field_at_reference_thresholds(self, rs):
         field = generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11, rs=rs)
         sigma0 = float(field.values.std())
