@@ -11,6 +11,8 @@ region, and the variance identities tie the four statistics together.
 import math
 import time
 
+import numpy as np
+
 from fieldtopo import (
     EnsembleConfig,
     PowerSpectrumModel,
@@ -55,10 +57,16 @@ quad = math.hypot(s.sd['b0'], s.sd['b1'])
 print(f"  at nu=0: sd_chi={s.sd['chi']:.2f} > sqrt(sd_b0^2+sd_b1^2)={quad:.2f} "
       f"> sd_bsum={s.sd['bsum']:.2f}")
 
-report = check_mj_inequality(s)
+mean, cov = result.coefficient_moments(0.0)
+report = check_mj_inequality(mean, cov)
 print(f"\nm_j inequality at nu=0: total = {report.total_sum:.1f} "
       f"(negative: {report.total_negative}, strict-condition violations: "
       f"{report.violating_j})")
+j = np.arange(mean.size)
+exact = float(np.ones(mean.size) @ cov @ j)
+diagonal = float(j @ np.diag(cov))  # what Cov(b0, b1) would be were the m_j independent
+print(f"  cov(b0,b1) = 1^T C j = {exact:.1f}: diagonal (independent) part "
+      f"{diagonal:.1f}, cross-j part {exact - diagonal:.1f}")
 
 print("\nduality b0(nu) vs background components at -nu (holes plus the "
       "pieces the frame cuts off; b1(-nu) alone would miss the latter):")

@@ -24,7 +24,7 @@ import math
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -71,6 +71,10 @@ REGIME_CUT = 2.0
 #: fewest samples `pdf_compare` takes, so the ensemble size from which
 #: `compute_fits` attaches TV distances
 MIN_PDF_SAMPLES = 100
+
+#: most integer bins `pdf_compare` spans: 64 times the largest count a
+#: 512^2 or 64^3 ensemble can hold (a count never exceeds the 262 144 cells)
+MAX_PDF_BINS = 2**24
 
 #: how a float prints in a CSV field and in a hist file name
 FLOAT_FORMAT = ".12g"
@@ -184,8 +188,6 @@ class ThresholdSummary:
     mean: dict[str, float]
     sd: dict[str, float]
     cov_b0b1: float
-    mean_mj: dict[int, float] = dataclass_field(default_factory=dict)
-    var_mj: dict[int, float] = dataclass_field(default_factory=dict)
 
     def se(self, stat: str) -> float:
         """Standard error of the ensemble mean of ``stat``."""
@@ -222,7 +224,21 @@ class EnsembleResult:
     def summary_at(self, nu: float) -> ThresholdSummary:
         return self.summaries[self.nu_index(nu)]
 
+    def coefficient_moments(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Column means and ddof-1 covariance C of the m_j table at one threshold.
+
+        Computed on each call, never stored.  With j = 0 .. jmax, b0 = 1.m and
+        b1 = j.m, so every second moment of b0, b1, chi and bsum is a
+        quadratic form of C: Cov(b0, b1) = 1^T C j, var(chi) = (1-j)^T C (1-j).
+        """
+        table = self.mj_tables[self.nu_index(nu)]
+        return table.mean(axis=0), np.atleast_2d(np.cov(table, rowvar=False))
+
     def spectrum_at(self, realization: int, nu: float) -> HoleSpectrum:
+        if not 0 <= realization < self.config.n_realizations:
+            raise DomainError(
+                f"realization {realization} not in [0, {self.config.n_realizations})"
+            )
         t = self.nu_index(nu)
         row = self.mj_tables[t][realization]
         counts = {j: int(m) for j, m in enumerate(row) if m > 0}
@@ -310,13 +326,6 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
     summaries = []
     for t, nu in enumerate(config.thresholds):
         x = {name: stats[name][:, t].astype(float) for name in (*STAT_NAMES, "bg")}
-        mjt = mj_tables[t]
-        mean_mj = {j: float(m) for j, m in enumerate(mjt.mean(axis=0)) if m > 0}
-        var_mj = {
-            j: float(v)
-            for j, v in enumerate(mjt.var(axis=0, ddof=1))
-            if j in mean_mj
-        }
         summaries.append(
             ThresholdSummary(
                 nu=nu,
@@ -324,8 +333,6 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
                 mean={name: float(v.mean()) for name, v in x.items()},
                 sd={name: float(v.std(ddof=1)) for name, v in x.items()},
                 cov_b0b1=float(np.cov(x["b0"], x["b1"])[0, 1]),
-                mean_mj=mean_mj,
-                var_mj=var_mj,
             )
         )
 
@@ -416,31 +423,28 @@ class MjInequalityReport:
         return self.total_sum < 0
 
 
-def check_mj_inequality(summary: ThresholdSummary) -> MjInequalityReport:
+def check_mj_inequality(mean: np.ndarray, cov: np.ndarray) -> MjInequalityReport:
     """Evaluate the anti-correlation inequality on the m_j moments.
 
-    The total is sum_j j (<m_j^2> - <m_j> sum_k <m_k>), which equals
-    Cov(b0, b1) under cross-j independence, so it should come out negative
-    for Gaussian fields.  The strict per-component condition
+    ``mean`` and ``cov`` are the coefficient moments at one threshold, as
+    `EnsembleResult.coefficient_moments` returns them; only the diagonal of
+    ``cov`` is read.  The total is sum_j j (<m_j^2> - <m_j> sum_k <m_k>) =
+    sum_j j <m_j^2> - <b0><b1>.  It falls short of Cov(b0, b1) by
+    sum_{j != k} k <m_j m_k>, so the two agree only when no realization
+    holds components with two different hole counts; the exact value is
+    Cov(b0, b1) = 1^T C j.  The strict per-component condition
     <m_j> + var(m_j)/<m_j> < sum_k <m_k> is checked for every populated
     j >= 1; violations are compatible with a negative total.
     """
-    if not summary.mean_mj:
-        raise DomainError("summary has no m_j moments")
-    total_mean = sum(summary.mean_mj.values())
-    total = 0.0
-    violating = []
-    margins = {}
-    for j, mean_j in summary.mean_mj.items():
-        var_j = summary.var_mj.get(j, 0.0)
-        second_moment = var_j + mean_j * mean_j
-        total += j * (second_moment - mean_j * total_mean)
-        if j >= 1 and mean_j > 0:
-            # condition multiplied through by <m_j> to avoid the division
-            margin = mean_j * mean_j + var_j - mean_j * total_mean
-            margins[j] = margin
-            if margin >= 0:
-                violating.append(j)
+    if not (mean > 0).any():
+        raise DomainError("no m_j is populated")
+    # <m_j^2> - <m_j> sum_k <m_k>: the total's term at j and the condition times
+    # <m_j>; an unpopulated j has mean and variance 0, so its term is 0
+    margin = mean * mean + np.diag(cov) - mean * mean.sum()
+    total = float(np.arange(mean.size) @ margin)
+    populated = np.flatnonzero(mean[1:] > 0) + 1
+    margins = dict(zip(populated.tolist(), margin[populated].tolist()))
+    violating = [j for j, m in margins.items() if m >= 0]
     return MjInequalityReport(total_sum=total, violating_j=violating, per_j_margin=margins)
 
 
@@ -550,6 +554,11 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
 
     lo = int(min(values.min(), math.floor(mean - 8 * sd), 0))
     hi = int(max(values.max(), math.ceil(mean + 8 * sd)))
+    if hi - lo + 1 > MAX_PDF_BINS:
+        raise DomainError(
+            f"pdf_compare would span {hi - lo + 1} bins ({lo} to {hi}), "
+            f"more than MAX_PDF_BINS = {MAX_PDF_BINS}"
+        )
     bins = np.arange(lo, hi + 1)
 
     pmf_emp = np.bincount(values - lo, minlength=bins.size) / values.size

@@ -261,15 +261,23 @@ def euler_closed_cell(mask: ExcursionMask) -> int:
 
 
 def generating_function(hs: HoleSpectrum, alpha: float) -> tuple[float, float]:
-    """Evaluate h(alpha) = sum_j m_j exp(-j alpha) and its derivative."""
+    """Evaluate h(alpha) = sum_j m_j exp(-j alpha) and its derivative.
+
+    A value beyond the float range raises `DomainError`.
+    """
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
     h = 0.0
     dh = 0.0
-    for j, m in hs.counts.items():
-        w = m * math.exp(-j * alpha)
-        h += w
-        dh -= j * w
+    try:
+        for j, m in hs.counts.items():
+            w = m * math.exp(-j * alpha)
+            h += w
+            dh -= j * w
+    except OverflowError:
+        h = math.inf
+    if not (math.isfinite(h) and math.isfinite(dh)):
+        raise DomainError(f"h(alpha) overflows a float at alpha = {alpha}")
     return h, dh
 
 

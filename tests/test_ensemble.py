@@ -303,9 +303,31 @@ class TestRunEnsemble:
             assert s.sd["bg"] == pytest.approx(bg[:, t].std(ddof=1))
         assert quick_result.spectrum_at(3, 1.0).n_background == bg[3, 2]
 
-    def test_mj_moments_populated(self, quick_result):
-        s = quick_result.summary_at(0.0)
-        assert s.mean_mj and sum(s.mean_mj.values()) == pytest.approx(s.mean["b0"])
+    @pytest.mark.parametrize("realization", [-1, 40])
+    def test_spectrum_index_outside_ensemble_rejected(self, quick_result, realization):
+        with pytest.raises(DomainError, match=r"not in \[0, 40\)"):
+            quick_result.spectrum_at(realization, 1.0)
+
+    def test_coefficient_moments_give_summary_moments(self, quick_result):
+        # b0 = 1.m and b1 = j.m, so each summary moment is a form in (mean, C)
+        for s in quick_result.summaries:
+            mean, cov = quick_result.coefficient_moments(s.nu)
+            j = np.arange(mean.size)
+            one = np.ones(mean.size)
+            assert mean @ one == pytest.approx(s.mean["b0"], rel=1e-9)
+            assert mean @ j == pytest.approx(s.mean["b1"], rel=1e-9)
+            for u, v, expected in (
+                (one, one, s.sd["b0"] ** 2),
+                (j, j, s.sd["b1"] ** 2),
+                (one, j, s.cov_b0b1),
+                (one - j, one - j, s.sd["chi"] ** 2),
+                (one + j, one + j, s.sd["bsum"] ** 2),
+            ):
+                assert u @ cov @ v == pytest.approx(expected, rel=1e-9)
+
+    def test_coefficient_moments_unknown_threshold(self, quick_result):
+        with pytest.raises(DomainError):
+            quick_result.coefficient_moments(0.25)
 
     def test_histograms_cover_all_realizations(self, quick_result, tmp_path):
         ens.write_hist_csvs(quick_result, tmp_path)
@@ -388,36 +410,53 @@ class TestExpectedChi:
                 expected_chi(nu, r_c, L)
 
 
-def summary_with_mj(mean_mj, var_mj):
-    return ThresholdSummary(
-        nu=0.0, n_realizations=10,
-        mean={"b0": sum(mean_mj.values()), "b1": 0.0, "chi": 0.0, "bsum": 0.0, "bg": 1.0},
-        sd={"b0": 1.0, "b1": 1.0, "chi": 1.0, "bsum": 1.0, "bg": 1.0}, cov_b0b1=0.0,
-        mean_mj=mean_mj, var_mj=var_mj,
-    )
-
-
 class TestMjInequality:
     def test_single_j_fails(self):
-        report = check_mj_inequality(summary_with_mj({2: 3.0}, {2: 1.5}))
+        report = check_mj_inequality(np.array([0.0, 0.0, 3.0]), np.diag([0.0, 0.0, 1.5]))
         assert report.total_sum == pytest.approx(2 * 1.5)
         assert not report.total_negative
         assert report.violating_j == [2]
+        assert report.per_j_margin == pytest.approx({2: 1.5})
 
     def test_deterministic_two_j_negative(self):
-        report = check_mj_inequality(summary_with_mj({0: 2.0, 1: 3.0}, {0: 0.0, 1: 0.0}))
+        report = check_mj_inequality(np.array([2.0, 3.0]), np.zeros((2, 2)))
         # total = 1 * m1 * (m1 - (m0 + m1)) = 3 * (3 - 5) = -6
         assert report.total_sum == pytest.approx(-6.0)
         assert report.total_negative
         assert report.violating_j == []
 
     def test_gaussian_ensemble_negative_at_minus_one(self, quick_result):
-        report = check_mj_inequality(quick_result.summary_at(-1.0))
+        report = check_mj_inequality(*quick_result.coefficient_moments(-1.0))
         assert report.total_negative
 
-    def test_empty_summary_rejected(self):
+    def test_matches_loop_over_populated_j(self, quick_result):
+        for t, nu in enumerate(quick_result.config.thresholds):
+            table = quick_result.mj_tables[t]
+            mean_mj = {j: float(m) for j, m in enumerate(table.mean(axis=0)) if m > 0}
+            var_mj = {j: float(v) for j, v in enumerate(table.var(axis=0, ddof=1))}
+            total_mean = sum(mean_mj.values())
+            total = 0.0
+            margins = {}
+            for j, mean_j in mean_mj.items():
+                second_moment = var_mj[j] + mean_j * mean_j
+                total += j * (second_moment - mean_j * total_mean)
+                if j >= 1:
+                    margins[j] = mean_j * mean_j + var_mj[j] - mean_j * total_mean
+            report = check_mj_inequality(*quick_result.coefficient_moments(nu))
+            assert report.total_sum == pytest.approx(total, rel=1e-12)
+            assert report.per_j_margin == pytest.approx(margins)
+
+    def test_empty_moments_rejected(self):
         with pytest.raises(DomainError):
-            check_mj_inequality(summary_with_mj({}, {}))
+            check_mj_inequality(np.zeros(1), np.zeros((1, 1)))
+
+    def test_3d_result_rejected(self):
+        # a 3D mask has an empty hole spectrum: its table is one all-zero m_0 column
+        res = run_ensemble(quick_config(n_realizations=2, side=32, L=32.0, dim=3, thresholds=(0.0,)))
+        mean, cov = res.coefficient_moments(0.0)
+        assert mean.shape == (1,) and cov.shape == (1, 1)
+        with pytest.raises(DomainError):
+            check_mj_inequality(mean, cov)
 
 
 class TestBinomialFits:
@@ -602,6 +641,12 @@ print(json.dumps({{"N": fit.N_fit, "bins": len(cmp.bins), "tv": cmp.tv_binomial,
         # rounding them to int64 would wrap them onto bins near -9.2e18
         with pytest.raises(DomainError, match="int64 range"):
             pdf_compare(np.full(150, bad), None)
+
+    @pytest.mark.parametrize("big", [2.0**63 - 1024, 1e12])
+    def test_bin_span_beyond_cap_rejected(self, big):
+        # in the int64 range, but np.arange would fail or ask for terabytes
+        with pytest.raises(DomainError, match="bins"):
+            pdf_compare(np.full(150, big), None)
 
     def test_needs_hundred_samples(self):
         with pytest.raises(DomainError):

@@ -600,6 +600,16 @@ class TestGeneratingFunction:
         with pytest.raises(DomainError):
             generating_function(HoleSpectrum(counts={0: 1}), math.inf)
 
+    def test_overflow_rejected(self):
+        # the 64^2 checkerboard: one component with 1922 holes, so exp(961) at alpha = -0.5
+        bits = np.indices((64, 64)).sum(axis=0) % 2 == 0
+        hs = hole_spectrum(mask_of(bits))
+        with pytest.raises(DomainError, match="overflows"):
+            generating_function(hs, -0.5)
+        # each exp is finite here, but their weighted sum is not
+        with pytest.raises(DomainError, match="overflows"):
+            generating_function(HoleSpectrum(counts={700: 10**5}), -1.0)
+
     def test_equivalence_with_direct_sums(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
