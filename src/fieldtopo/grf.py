@@ -9,10 +9,18 @@ same pass, so a smoothed realization costs one forward and one inverse
 transform, and its values are a C-contiguous float64 array.  The k = 0
 amplitude is zeroed, giving exactly zero-mean realizations.  Identical inputs
 give bit-identical fields within one FFT implementation.
+
+The synthesis gain depends only on (model, side, L, dim, rs), so it is
+computed once per configuration and kept, read-only, for the next call (one
+entry: an ensemble draws every realization from one configuration).  The
+forward transforms write into one half-lattice buffer that the gain then
+scales in place, and the white noise is released before the inverse
+transform, so a realization peaks at about three field-sized arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -62,23 +70,53 @@ def _k_squared(side: int, L: float, dim: int, drop_nyquist: bool = False) -> np.
     """|k|^2 on the real-FFT half lattice, shaped (side, ..., side // 2 + 1).
 
     Every axis but the last runs over the ``fftfreq`` modes; the last is the
-    ``rfftfreq`` half axis 0 ... side/2.  With ``drop_nyquist`` each axis
-    adds 0 at its own Nyquist index (see `sample_moments`).
+    ``rfftfreq`` half axis 0 ... side // 2.  With ``drop_nyquist`` each axis
+    adds 0 at its own Nyquist index (see `sample_moments`); an odd side has
+    no Nyquist index, so then nothing is dropped.
     """
     k2 = 0.0
     for axis in range(dim):
         freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
         k = 2.0 * np.pi * freq(side, d=L / side)
-        if drop_nyquist:
+        if drop_nyquist and side % 2 == 0:
             k[side // 2] = 0.0
         k2 = k2 + (k * k).reshape([-1 if i == axis else 1 for i in range(dim)])
     return k2
 
 
-def _filter(values: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """Multiply the modes of a real field by a real gain on the half lattice."""
-    axes = tuple(range(values.ndim))
-    return np.fft.irfftn(np.fft.rfftn(values) * gain, s=values.shape, axes=axes)
+def _forward(values: np.ndarray) -> np.ndarray:
+    """``rfftn`` of a real field, written into one fresh half-lattice buffer."""
+    half = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(values, out=np.empty(half, dtype=complex))
+
+
+@functools.lru_cache(maxsize=1)
+def _synthesis_gain(
+    model: PowerSpectrumModel, side: int, L: float, dim: int, rs: float
+) -> np.ndarray:
+    """The read-only half-lattice gain sqrt(P(|k|) N^d / L^d) exp(-k^2 rs^2 / 2).
+
+    The k = 0 entry is 0.  A box volume L^d that overflows a float raises
+    `DomainError`; a gain that overflows shows as non-finite entries.
+    """
+    try:
+        volume = float(L) ** dim  # a Python float power: np.errstate does not cover it
+    except OverflowError as exc:
+        raise DomainError(f"the box volume L^{dim} overflows a float (L = {L})") from exc
+    with np.errstate(all="ignore"):
+        k2 = _k_squared(side, L, dim)
+        gain = np.zeros_like(k2)
+        live = k2 > 0
+        gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / volume)
+        gain *= np.exp(-0.5 * k2 * rs * rs)
+    gain.flags.writeable = False
+    return gain
+
+
+def _filter(spec: np.ndarray, gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Scale half-lattice modes in place by a real gain; return the real field of ``shape``."""
+    spec *= gain
+    return np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
 
 
 def generate(
@@ -122,24 +160,17 @@ def generate(
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"box size must be finite and positive, got {L}")
     check_rs(rs)
-    try:
-        volume = float(L) ** dim  # a Python float power: np.errstate does not cover it
-    except OverflowError as exc:
-        raise DomainError(f"the box volume L^{dim} overflows a float (L = {L})") from exc
 
     rng = np.random.default_rng(seed)
     try:
         white = rng.standard_normal((side,) * dim)
     except (ValueError, MemoryError) as exc:  # numpy refuses a grid it cannot allocate
         raise DomainError(f"cannot allocate a {dim}D grid of side {side}: {exc}") from exc
-
+    spec = _forward(white)
+    del white  # freed before the inverse transform allocates its buffers
+    gain = _synthesis_gain(model, side, L, dim, rs)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite field below
-        k2 = _k_squared(side, L, dim)
-        gain = np.zeros_like(k2)
-        live = k2 > 0
-        gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / volume)
-        gain *= np.exp(-0.5 * k2 * rs * rs)
-        values = _filter(white, gain)
+        values = _filter(spec, gain, (side,) * dim)
     if not np.isfinite(values).all():
         raise DomainError(f"the field is not finite (L = {L}, amplitude = {model.amplitude})")
     return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=float(rs))
@@ -157,7 +188,7 @@ def smooth(field: FieldGrid, rs: float) -> FieldGrid:
     if rs == 0.0:
         return replace(field, values=field.values.copy())
     k2 = _k_squared(field.side, field.L, field.dim)
-    values = _filter(field.values, np.exp(-0.5 * k2 * rs * rs))
+    values = _filter(_forward(field.values), np.exp(-0.5 * k2 * rs * rs), field.values.shape)
     total = float(np.hypot(field.rs_applied, rs))
     return replace(field, values=values, rs_applied=total)
 
@@ -167,20 +198,26 @@ def sample_moments(field: FieldGrid) -> FieldMoments:
 
     The mean and sigma0 are taken in real space.  The gradient is spectral
     (modes multiplied by i k), so by Parseval sigma1^2 is the sum over the
-    modes of |k|^2 |F_k|^2 / N^2, read off one ``rfftn``: the interior
-    columns of the half axis stand for two modes each.  The Nyquist index of
-    axis d carries no d-gradient: i k_d F_k is anti-Hermitian there, so the
-    real gradient field has no such mode.
+    modes of |k|^2 |F_k|^2 / N^2, read off one ``rfftn``: the columns of the
+    half axis past the first stand for two modes each, except the last one
+    of an even side.  There, and at every other Nyquist index of an even
+    axis d, the mode carries no d-gradient: i k_d F_k is anti-Hermitian
+    there, so the real gradient field has no such mode.  An odd side has no
+    Nyquist index.
     """
     values = field.values
     mean = float(values.mean())
     sigma0 = float(values.std())
-    spec = np.fft.rfftn(values)
-    weight = np.full(spec.shape[-1], 2.0)
-    weight[[0, -1]] = 1.0
-    power = (spec.real**2 + spec.imag**2) * weight
+    spec = _forward(values)
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    del spec
+    # the weight of each half-axis column is 1 or 2, so folding it into k2
+    # changes no product
     k2 = _k_squared(field.side, field.L, field.dim, drop_nyquist=True)
-    sigma1 = math.sqrt(float(np.sum(k2 * power))) / values.size
+    k2[..., 1 : None if field.side % 2 else -1] *= 2.0
+    power *= k2
+    sigma1 = math.sqrt(float(np.sum(power))) / values.size
     return FieldMoments(mean=mean, sigma0=sigma0, sigma1=sigma1)
 
 

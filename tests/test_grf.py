@@ -1,6 +1,7 @@
 """Field synthesis against quadrature oracles, plus format round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from fieldtopo import (
     PowerSpectrumModel,
     correlation_length,
+    eval_power,
     generate,
     load_field,
     sample_moments,
@@ -16,7 +18,7 @@ from fieldtopo import (
     spectral_moment,
 )
 from fieldtopo.errors import ConfigError, DomainError, FormatError
-from fieldtopo.grf import FieldGrid
+from fieldtopo.grf import FieldGrid, _synthesis_gain
 
 FLAT = PowerSpectrumModel(amplitude=1.0, alpha=0.0)
 
@@ -123,6 +125,83 @@ class TestGenerate:
         assert abs(exkurt) < 5.0 * math.sqrt(24.0 / m)
 
 
+def half_lattice_k2(side, L, dim, zero_nyquist=False):
+    """|k|^2 summed axis by axis on the rfftn half lattice (even sides only)."""
+    k2 = 0.0
+    for axis in range(dim):
+        freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(side, d=L / side)
+        if zero_nyquist:
+            k[side // 2] = 0.0
+        k2 = k2 + (k * k).reshape([-1 if i == axis else 1 for i in range(dim)])
+    return k2
+
+
+def uncached_field(model, side, L, dim, seed, rs):
+    """The synthesis written out: irfftn(rfftn(white) * gain), gain built afresh."""
+    white = np.random.default_rng(seed).standard_normal((side,) * dim)
+    k2 = half_lattice_k2(side, L, dim)
+    gain = np.zeros_like(k2)
+    live = k2 > 0
+    gain[live] = np.sqrt(eval_power(model, np.sqrt(k2[live])) * side**dim / float(L) ** dim)
+    gain *= np.exp(-0.5 * k2 * rs * rs)
+    return np.fft.irfftn(np.fft.rfftn(white) * gain, s=white.shape, axes=tuple(range(dim)))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that numpy and Python allocate while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSynthesisGainCache:
+    CONFIGS = [
+        (FLAT, 64, 64.0, 2, 0.0),
+        (PowerSpectrumModel(amplitude=2.0, alpha=-1.0), 64, 64.0, 2, 0.0),
+        (FLAT, 64, 64.0, 2, 3.0),
+        (FLAT, 128, 90.0, 2, 3.0),
+        (FLAT, 32, 40.0, 3, 2.0),
+    ]
+
+    def test_alternating_configs_match_the_uncached_synthesis(self):
+        for seed, (model, side, L, dim, rs) in enumerate(self.CONFIGS * 2 + self.CONFIGS[::-1]):
+            f = generate(model, side, L, dim, seed=(3, seed), rs=rs)
+            expected = uncached_field(model, side, L, dim, (3, seed), rs)
+            assert f.values.tobytes() == expected.tobytes()
+            assert _synthesis_gain.cache_info().currsize <= 1
+
+    def test_cached_gain_is_read_only(self):
+        generate(FLAT, 32, 32.0, 2, seed=0, rs=1.0)
+        gain = _synthesis_gain(FLAT, 32, 32.0, 2, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            gain[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            gain *= 2.0
+
+    def test_mutating_a_field_leaves_the_next_realization_unchanged(self):
+        first = generate(FLAT, 32, 32.0, 2, seed=4, rs=1.0)
+        expected = first.values.copy()
+        first.values *= 0.0
+        first.values += 7.0
+        again = generate(FLAT, 32, 32.0, 2, seed=4, rs=1.0)
+        assert again.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim, side", [(2, 256), (3, 32)])
+    def test_peak_memory_on_a_warm_cache(self, dim, side):
+        # at the peak a realization holds three field-sized arrays: the
+        # half-lattice spectrum, one pass of the inverse transform and its
+        # output (the noise is freed once transformed)
+        args = (FLAT, side, float(side), dim)
+        field = generate(*args, seed=0, rs=2.0)  # fills the gain cache
+        nbytes = field.values.nbytes
+        assert traced_peak(lambda: generate(*args, seed=1, rs=2.0)) <= 3.5 * nbytes
+        assert traced_peak(lambda: sample_moments(field)) <= 2.25 * nbytes
+
+
 class TestSmooth:
     def test_rs_zero_is_identity(self):
         f = generate(FLAT, 32, 32.0, 2, seed=1)
@@ -197,6 +276,29 @@ class TestSampleMoments:
             f = generate(FLAT, side, L, dim, seed=(8, seed), rs=rs)
             expected = spectral_gradient_sigma1(f)
             assert sample_moments(f).sigma1 == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("dim, side", [(2, 33), (2, 35), (3, 33)])
+    def test_sigma1_on_odd_sides_matches_spectral_gradient(self, dim, side):
+        # an odd side has no Nyquist index: its last half-axis column is a
+        # pair of modes like every other column past the first
+        values = np.random.default_rng(side).standard_normal((side,) * dim)
+        f = FieldGrid(dim=dim, side=side, L=1.3 * side, values=values, seed=0)
+        expected = spectral_gradient_sigma1(f)
+        assert sample_moments(f).sigma1 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim, side, L, rs", [(2, 64, 64.0, 0.0), (2, 128, 37.0, 2.0), (3, 32, 45.0, 1.5)]
+    )
+    def test_sigma1_on_even_sides_equals_the_weighted_power_sum(self, dim, side, L, rs):
+        # the weight applied to the power, not folded into k2: the same floats
+        f = generate(FLAT, side, L, dim, seed=(9, side), rs=rs)
+        spec = np.fft.rfftn(f.values)
+        weight = np.full(spec.shape[-1], 2.0)
+        weight[[0, -1]] = 1.0
+        power = (spec.real**2 + spec.imag**2) * weight
+        k2 = half_lattice_k2(side, L, dim, zero_nyquist=True)
+        expected = math.sqrt(float(np.sum(k2 * power))) / f.values.size
+        assert sample_moments(f).sigma1 == expected
 
     def test_sigma1_of_nyquist_checkerboard_is_zero(self):
         # (-1)^(x + y) lives on the Nyquist modes only, where the periodic
