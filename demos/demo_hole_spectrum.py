@@ -4,7 +4,8 @@ The hole-count spectrum of small masks
 
 Every excursion set decomposes into components carrying 0, 1, 2, ... holes;
 m_j counts the components with exactly j holes, and all four topological
-statistics are weighted sums over {m_j}.  Walk through the basic shapes.
+statistics are weighted sums over the spectrum (m_0, m_1, ..., m_jmax).
+Walk through the basic shapes.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ def show(name, bits):
     mask = ExcursionMask(bits=np.asarray(bits, dtype=bool))
     hs = hole_spectrum(mask)
     stats = topo_stats_from_spectrum(hs)
-    print(f"{name:24s} m_j = {hs.counts!s:18s} "
+    print(f"{name:24s} m = {hs.m!s:12s} "
           f"b0={stats.b0} b1={stats.b1} chi={stats.chi} bsum={stats.bsum} "
           f"(closed-cell chi = {euler_closed_cell(mask)})")
 
@@ -54,8 +55,8 @@ show("ring nested in a ring", nested)
 # --- the generating function route ----------------------------------------
 # h(alpha) = sum_j m_j exp(-j alpha) packs the whole spectrum into one
 # function; its value and slope at alpha = 0 give back the statistics
-hs = HoleSpectrum(counts={0: 3, 1: 2, 2: 1})
-print("\nspectrum {0: 3, 1: 2, 2: 1}:")
+hs = HoleSpectrum(m=(3, 2, 1))
+print(f"\nspectrum m = {hs.m}:")
 for alpha in (0.0, 0.5, 1.0, 2.0):
     h, dh = generating_function(hs, alpha)
     print(f"  h({alpha:3.1f}) = {h:7.4f}   h'({alpha:3.1f}) = {dh:8.4f}")

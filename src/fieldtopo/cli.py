@@ -171,7 +171,7 @@ def _sweep_row(nu: float, mask: ExcursionMask) -> list:
     st, hs = ens.measure_mask(mask)
     return [
         nu, st.b0, st.b1, st.b2, st.chi, st.bsum, hs.jmax,
-        json.dumps({str(j): m for j, m in hs.counts.items()}, sort_keys=True),
+        json.dumps({str(j): m for j, m in enumerate(hs.m) if m}, sort_keys=True),
     ]
 
 

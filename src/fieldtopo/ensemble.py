@@ -34,7 +34,7 @@ import scipy
 from .errors import ConfigError, DomainError, FieldtopoError
 from .grf import generate, sample_moments
 from .grf import smooth  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
-from .spectrum import PowerSpectrumModel
+from .spectrum import PowerSpectrumModel, check_type
 from .topo2d import (
     ExcursionMask,
     HoleSpectrum,
@@ -102,6 +102,8 @@ class EnsembleConfig:
     sigma_mode: str | float = "sample"
 
     def __post_init__(self) -> None:
+        for name, tp in get_type_hints(EnsembleConfig).items():
+            check_type(name, getattr(self, name), tp, ConfigError)
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if self.side < 32 or self.side & (self.side - 1) != 0:
@@ -199,7 +201,7 @@ class EnsembleResult:
     config: EnsembleConfig
     summaries: list[ThresholdSummary]
     stats: dict[str, np.ndarray]  # (n_realizations, n_thresholds) int64 each
-    mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1)
+    mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1); all 0 in 3D
     sigma0s: np.ndarray
     sigma1s: np.ndarray
 
@@ -227,11 +229,12 @@ class EnsembleResult:
     def coefficient_moments(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
         """Column means and ddof-1 covariance C of the m_j table at one threshold.
 
-        Computed on each call, never stored.  With j = 0 .. jmax, b0 = 1.m and
+        Computed on each call, never stored; a 3D result raises `DomainError`,
+        as `spectrum_at` does.  With j = 0 .. jmax, b0 = 1.m and
         b1 = j.m, so every second moment of b0, b1, chi and bsum is a
         quadratic form of C: Cov(b0, b1) = 1^T C j, var(chi) = (1-j)^T C (1-j).
         """
-        table = self.mj_tables[self.nu_index(nu)]
+        _, table = self._mj_table(nu)
         return table.mean(axis=0), np.atleast_2d(np.cov(table, rowvar=False))
 
     def spectrum_at(self, realization: int, nu: float) -> HoleSpectrum:
@@ -239,11 +242,16 @@ class EnsembleResult:
             raise DomainError(
                 f"realization {realization} not in [0, {self.config.n_realizations})"
             )
-        t = self.nu_index(nu)
-        row = self.mj_tables[t][realization]
-        counts = {j: int(m) for j, m in enumerate(row) if m > 0}
+        t, table = self._mj_table(nu)
         n_background = int(self.stats["bg"][realization, t])
-        return HoleSpectrum(counts=counts, n_background=n_background)
+        return HoleSpectrum(m=table[realization].tolist(), n_background=n_background)
+
+    def _mj_table(self, nu: float) -> tuple[int, np.ndarray]:
+        """The index of threshold nu and its m_j table; `betti3d` measures no m_j."""
+        if self.config.dim == 3:
+            raise DomainError("a 3D result has no m_j: betti3d counts no holes per component")
+        t = self.nu_index(nu)
+        return t, self.mj_tables[t]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,7 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
         moments = sample_moments(field)
 
         table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
-        mj: list[dict[int, int]] = []
+        mj: list[tuple[int, ...]] = []
         sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
         for t, nu in enumerate(config.thresholds):
             mask = excursion_mask(field, nu, sigma)
@@ -288,7 +296,7 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
             chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
             row = {"jmax": hs.jmax, "chi_cell": chi_cell, "bg": st.n_background}
             table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
-            mj.append(hs.counts)
+            mj.append(hs.m)
     except FieldtopoError as exc:
         site = f"realization {index}, seed ({config.master_seed}, {index})"
         if nu is not None:
@@ -318,9 +326,8 @@ def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
     mj_tables = []
     for t in range(n_nu):
         table = np.zeros((n, stats["jmax"][:, t].max() + 1), dtype=np.int64)
-        for i, r in enumerate(rows):
-            counts = r["mj"][t]
-            table[i, list(counts)] = list(counts.values())
+        for i, m in enumerate(r["mj"][t] for r in rows):
+            table[i, : len(m)] = m
         mj_tables.append(table)
 
     summaries = []
@@ -354,6 +361,7 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleResult:
     (master_seed, i) and the fold is a fixed-order pass over indices, so
     the pool has min(workers, n_realizations, CPUs) processes (none for 1).
     """
+    check_type("workers", workers, int, ConfigError)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     indices = range(config.n_realizations)
@@ -434,8 +442,14 @@ def check_mj_inequality(mean: np.ndarray, cov: np.ndarray) -> MjInequalityReport
     holds components with two different hole counts; the exact value is
     Cov(b0, b1) = 1^T C j.  The strict per-component condition
     <m_j> + var(m_j)/<m_j> < sum_k <m_k> is checked for every populated
-    j >= 1; violations are compatible with a negative total.
+    j >= 1; violations are compatible with a negative total.  Moments of
+    mismatched shapes, or any that is not finite, raise `DomainError`.
     """
+    mean, cov = np.asarray(mean), np.asarray(cov)
+    if not (mean.ndim == 1 and cov.shape == (mean.size, mean.size)):
+        raise DomainError(f"mean {mean.shape} and cov {cov.shape}: need (n,) and (n, n)")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise DomainError("the m_j moments must be finite")
     if not (mean > 0).any():
         raise DomainError("no m_j is populated")
     # <m_j^2> - <m_j> sum_k <m_k>: the total's term at j and the condition times
@@ -543,6 +557,8 @@ def pdf_compare(samples, fit: BinomialFit | None) -> PdfComparison:
     integer with p rescaled to preserve the fitted mean N p.
     """
     samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise DomainError(f"pdf_compare needs 1-D samples, got shape {samples.shape}")
     if samples.size < MIN_PDF_SAMPLES:
         raise DomainError(f"pdf_compare needs at least {MIN_PDF_SAMPLES} samples")
     if not (np.abs(samples) < 2.0**63).all():  # NaN and inf fail too; larger ones wrap in the cast

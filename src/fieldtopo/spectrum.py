@@ -16,7 +16,9 @@ number of r_c-sized structures fitting into a box of side L.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class PowerSpectrumModel:
     k_high_cutoff: float | None = None
 
     def __post_init__(self) -> None:
+        for name, tp in get_type_hints(PowerSpectrumModel).items():
+            check_type(name, getattr(self, name), tp, DomainError)
         for f in fields(self):
             val = getattr(self, f.name)
             if val is not None and not math.isfinite(val):
@@ -76,6 +80,28 @@ class SpectralParams:
     sigma1: float
     r_c: float
     q: float
+
+
+def check_type(name: str, value, tp, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``value`` has the annotated type ``tp``.
+
+    An int passes as a float, a numpy scalar as its Python type, and a tuple,
+    list or 1-D array of such numbers as a ``tuple[float, ...]``; a bool is
+    no number.
+    """
+
+    def fits(v, t) -> bool:
+        if get_origin(t) is tuple:
+            flat = isinstance(v, (tuple, list)) or isinstance(v, np.ndarray) and v.ndim == 1
+            return flat and all(fits(x, get_args(t)[0]) for x in v)
+        if get_args(t):  # a union
+            return any(fits(v, a) for a in get_args(t))
+        if isinstance(v, bool):
+            return t is bool
+        return isinstance(v, {int: numbers.Integral, float: numbers.Real}.get(t, t))
+
+    if not fits(value, tp):
+        raise error(f"{name} must be {tp.__name__ if isinstance(tp, type) else tp}, got {value!r}")
 
 
 def check_rs(rs: float) -> None:

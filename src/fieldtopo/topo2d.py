@@ -24,7 +24,7 @@ reach the frame and the runs of set pixels around the boundary loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,29 +53,32 @@ class ExcursionMask:
 
 @dataclass
 class HoleSpectrum:
-    """Counts m_j of connected components having exactly j holes.
+    """The counts (m_0, ..., m_jmax): m[j] components have exactly j holes.
 
-    ``n_background`` is the number of 4-connected background components,
-    holes and frame-cut exterior pieces together (1 for an empty mask, 0 for
-    a full one); it is ``None`` when the spectrum was not measured on a mask.
-    Under f -> -f the components at nu map onto these at -nu.
+    ``m`` is given as a tuple, list or 1-D array of Python or numpy integers
+    >= 0 and kept as a tuple ending at its last non-zero entry, so ``()`` is
+    no component.  ``n_background`` is the number of 4-connected background
+    components, holes and frame-cut exterior pieces together (1 for an empty
+    mask, 0 for a full one); it is ``None`` when the spectrum was not
+    measured on a mask.  Under f -> -f the components at nu map onto these
+    at -nu.
     """
 
-    counts: dict[int, int] = dataclass_field(default_factory=dict)
+    m: tuple[int, ...] = ()
     n_background: int | None = None
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, int] = {}
-        for j, m in self.counts.items():
-            if j < 0 or m < 0:
-                raise DomainError(f"invalid spectrum entry m_{j} = {m}")
-            if m > 0:
-                cleaned[int(j)] = int(m)
-        self.counts = cleaned
+        if not isinstance(self.m, (tuple, list, np.ndarray)):  # a dict would give its keys
+            raise DomainError(f"m must be the sequence (m_0, ..., m_jmax), got {self.m!r}")
+        for j, c in enumerate(self.m):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                raise DomainError(f"invalid spectrum entry m_{j} = {c!r}")
+        end = max((j + 1 for j, c in enumerate(self.m) if c), default=0)  # past the last m_j > 0
+        self.m = tuple(map(int, self.m[:end]))
 
     @property
     def jmax(self) -> int:
-        return max(self.counts) if self.counts else 0
+        return max(len(self.m) - 1, 0)
 
 
 @dataclass
@@ -220,19 +223,18 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     roots = np.flatnonzero(root == np.arange(root.size))
     runs = np.bincount(root)[roots]
     holes = np.bincount(root[u], minlength=root.size)[roots] - runs + 1
-    m = np.bincount(holes)
 
     b = mask.bits  # the boundary loop, clockwise; a corner pixel shows on both its sides
     loop = np.concatenate([b[0], b[:, -1], b[-1, ::-1], b[::-1, 0]])
     arcs = int(np.count_nonzero(loop & ~np.roll(loop, 1)))
     n_bg = 1 + int(holes.sum()) - int(np.count_nonzero(frame)) + arcs
-    return HoleSpectrum(counts=dict(enumerate(m.tolist())), n_background=n_bg)
+    return HoleSpectrum(m=np.bincount(holes).tolist(), n_background=n_bg)
 
 
 def topo_stats_from_spectrum(hs: HoleSpectrum) -> TopoStats:
     """Betti numbers and friends as weighted sums over the spectrum."""
-    b0 = sum(hs.counts.values())
-    b1 = sum(j * m for j, m in hs.counts.items())
+    b0 = sum(hs.m)
+    b1 = sum(j * m for j, m in enumerate(hs.m))
     return TopoStats(b0=b0, b1=b1, b2=0, n_background=hs.n_background)
 
 
@@ -270,8 +272,8 @@ def generating_function(hs: HoleSpectrum, alpha: float) -> tuple[float, float]:
     h = 0.0
     dh = 0.0
     try:
-        for j, m in hs.counts.items():
-            w = m * math.exp(-j * alpha)
+        for j in np.flatnonzero(hs.m).tolist():
+            w = hs.m[j] * math.exp(-j * alpha)
             h += w
             dh -= j * w
     except OverflowError:

@@ -56,6 +56,17 @@ def test_tiny_ensemble_passes_the_output_checks(dim):
     assert worker.failed_realizations(ens.run_ensemble(config)) == 0
 
 
+def test_corrupt_mj_entry_fails_its_realization():
+    # the generating function of the stored m_j row must give back b0 and b1
+    config = ens.EnsembleConfig(
+        side=32, L=32.0, dim=2, rs=2.0, n_realizations=3, thresholds=(-1.0, 0.0, 1.0),
+        master_seed=5,
+    )
+    result = ens.run_ensemble(config)
+    result.mj_tables[1][2, 0] += 1
+    assert worker.failed_realizations(result) == 1
+
+
 def test_traced_pool_run_records_every_realization(tmp_path):
     # the traced `_realize` is a local wrapper: the pool must reach it through a
     # module-level function, or no traced run with workers > 1 can pickle its task

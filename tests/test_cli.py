@@ -218,6 +218,25 @@ class TestSweep:
         (row,) = read_rows(out)
         assert (row["b0"], row["b1"], row["chi"], row["bsum"]) == ("1", "1", "0", "2")
 
+    def test_mask_m_spectrum_text(self, tmp_path):
+        # three blocks, a block with 2 holes and a strip with 12: the keys are
+        # j as text, sorted as strings, with the zero entries left out
+        bits = np.zeros((32, 32))
+        bits[1:4, 1:26] = 1.0
+        bits[2, 2:25:2] = 0.0
+        bits[6:9, 1:6] = 1.0
+        bits[7, [2, 4]] = 0.0
+        bits[12, [1, 4, 7]] = 1.0
+        save_field(FieldGrid(dim=2, side=32, L=32.0, values=bits, seed=0),
+                   tmp_path / "spectrum.bin")
+        out = tmp_path / "mask.csv"
+        assert run_cli("sweep", "--field", str(tmp_path / "spectrum.bin"),
+                       "--mask", "--out", str(out)) == 0
+        (row,) = read_rows(out)
+        assert (row["b0"], row["b1"], row["jmax"]) == ("5", "14", "12")
+        assert row["m_spectrum"] == '{"0": 3, "12": 1, "2": 1}'
+        assert out.read_text().splitlines()[1].endswith(',"{""0"": 3, ""12"": 1, ""2"": 1}"')
+
     def test_corrupt_magic_exits_3(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"JUNK" + b"\x00" * 60)

@@ -68,7 +68,7 @@ class TestMeasureMask:
         bits[2, 2] = bits[4, 4] = False
         bits[7, 7] = True
         st, hs = measure_mask(ExcursionMask(bits=bits))
-        assert (hs.counts, hs.jmax) == ({0: 1, 2: 1}, 2)
+        assert (hs.m, hs.jmax) == ((1, 0, 1), 2)
         assert (st.b0, st.b1, st.b2, st.chi) == (2, 2, 0, 0)
 
     def test_3d_mask_has_empty_spectrum(self):
@@ -76,7 +76,7 @@ class TestMeasureMask:
         bits[1:4, 1:4, 1:4] = True
         bits[2, 2, 2] = False
         st, hs = measure_mask(ExcursionMask(bits=bits))
-        assert (hs.counts, hs.jmax) == ({}, 0)
+        assert (hs.m, hs.jmax) == ((), 0)
         assert (st.b0, st.b1, st.b2, st.chi) == (1, 0, 1, 2)
 
 
@@ -116,6 +116,38 @@ class TestConfig:
     def test_rejects_invalid_parameters(self, override):
         with pytest.raises(ConfigError):
             quick_config(**override)
+
+    @pytest.mark.parametrize(
+        "build, value, error",
+        [
+            (EnsembleConfig, {"side": 256.0}, ConfigError),
+            (EnsembleConfig, {"L": "5"}, ConfigError),
+            (EnsembleConfig, {"n_realizations": 2.5}, ConfigError),
+            (EnsembleConfig, {"master_seed": 1.5}, ConfigError),
+            (EnsembleConfig, {"dim": 2.0}, ConfigError),
+            (EnsembleConfig, {"L": True}, ConfigError),
+            (EnsembleConfig, {"rs": True}, ConfigError),
+            (EnsembleConfig, {"sigma_mode": True}, ConfigError),
+            (EnsembleConfig, {"thresholds": ("0",)}, ConfigError),
+            (EnsembleConfig, {"thresholds": 0.5}, ConfigError),
+            (EnsembleConfig, {"model": None}, ConfigError),
+            (PowerSpectrumModel, {"amplitude": "1"}, DomainError),
+            (PowerSpectrumModel, {"alpha": None}, DomainError),
+            (PowerSpectrumModel, {"k_low_cutoff": True}, DomainError),
+            (lambda workers: run_ensemble(EnsembleConfig(), workers), {"workers": 2.5}, ConfigError),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, dict) else "",
+    )
+    def test_rejects_wrong_types(self, build, value, error):
+        # each field refused with the error class its range check raises
+        with pytest.raises(error, match=f"{next(iter(value))} must be "):
+            build(**value)
+
+    def test_takes_numpy_scalars_and_ints_as_floats(self):
+        cfg = quick_config(side=np.int64(32), L=32, rs=np.float64(1.0),
+                           thresholds=np.array([0.0, 1.0]), master_seed=np.uint8(3))
+        assert (cfg.side, cfg.L, cfg.thresholds, cfg.master_seed) == (32, 32, (0.0, 1.0), 3)
+        assert PowerSpectrumModel(amplitude=2, k_high_cutoff=np.float32(0.5)).amplitude == 2
 
     def test_sigma_mode_text_is_parsed(self):
         assert quick_config(sigma_mode="0.25").sigma_mode == 0.25
@@ -450,13 +482,35 @@ class TestMjInequality:
         with pytest.raises(DomainError):
             check_mj_inequality(np.zeros(1), np.zeros((1, 1)))
 
-    def test_3d_result_rejected(self):
-        # a 3D mask has an empty hole spectrum: its table is one all-zero m_0 column
-        res = run_ensemble(quick_config(n_realizations=2, side=32, L=32.0, dim=3, thresholds=(0.0,)))
-        mean, cov = res.coefficient_moments(0.0)
-        assert mean.shape == (1,) and cov.shape == (1, 1)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            (np.ones(3), np.eye(2)),
+            (np.ones(2), np.ones(2)),
+            (np.ones((2, 1)), np.eye(2)),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, mean, cov):
+        with pytest.raises(DomainError, match="need \\(n,\\) and \\(n, n\\)"):
             check_mj_inequality(mean, cov)
+
+    @pytest.mark.parametrize("where", ["mean", "cov"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_moments_rejected(self, where, bad):
+        mean, cov = np.array([2.0, 1.0]), np.eye(2)
+        {"mean": mean, "cov": cov}[where][1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            check_mj_inequality(mean, cov)
+
+    def test_3d_result_rejected(self):
+        # betti3d measures no m_j: a 3D result's table is one all-zero m_0 column,
+        # which would read as no component where b0 counts several
+        res = run_ensemble(quick_config(n_realizations=2, side=32, L=32.0, dim=3, thresholds=(0.0,)))
+        assert res.stats["b0"].any()
+        with pytest.raises(DomainError, match="3D result"):
+            res.coefficient_moments(0.0)
+        with pytest.raises(DomainError, match="3D result"):
+            res.spectrum_at(0, 0.0)
 
 
 class TestBinomialFits:
@@ -647,6 +701,11 @@ print(json.dumps({{"N": fit.N_fit, "bins": len(cmp.bins), "tv": cmp.tv_binomial,
         # in the int64 range, but np.arange would fail or ask for terabytes
         with pytest.raises(DomainError, match="bins"):
             pdf_compare(np.full(150, big), None)
+
+    @pytest.mark.parametrize("shape", [(150, 2), (1, 150), ()])
+    def test_samples_not_1d_rejected(self, shape):
+        with pytest.raises(DomainError, match="1-D samples"):
+            pdf_compare(np.ones(shape), None)
 
     def test_needs_hundred_samples(self):
         with pytest.raises(DomainError):
