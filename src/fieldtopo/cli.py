@@ -26,7 +26,7 @@ from .errors import (
     FormatError,
 )
 from .grf import generate, load_field, sample_moments, save_field
-from .spectrum import PowerSpectrumModel
+from .spectrum import PowerSpectrumModel, check_type
 from .topo2d import ExcursionMask, excursion_mask
 
 FWHM_PER_RS = math.sqrt(8.0 * math.log(2.0))
@@ -46,6 +46,8 @@ class RunConfig:
     verbosity: int = 1
 
     def __post_init__(self) -> None:
+        for name, tp in get_type_hints(RunConfig).items():
+            check_type(name, getattr(self, name), tp, ConfigError)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -163,16 +165,15 @@ def _sweep_thresholds(nu_min: float, nu_max: float, nu_step: float) -> np.ndarra
 
 
 #: the columns of a `sweep` CSV, one row per threshold
-SWEEP_COLUMNS = ("nu", "b0", "b1", "b2", "chi", "bsum", "jmax", "m_spectrum")
+SWEEP_COLUMNS = ("nu", *ens.TABLE_COLUMNS, "m_spectrum")
 
 
 def _sweep_row(nu: float, mask: ExcursionMask) -> list:
-    """One `sweep` row, in `SWEEP_COLUMNS` order, for the mask made at threshold nu."""
-    st, hs = ens.measure_mask(mask)
-    return [
-        nu, st.b0, st.b1, st.b2, st.chi, st.bsum, hs.jmax,
-        json.dumps({str(j): m for j, m in enumerate(hs.m) if m}, sort_keys=True),
-    ]
+    """One `sweep` row, in `SWEEP_COLUMNS` order, for the mask made at threshold nu:
+    the mask's row of the per-realization table, its m_j written as ``{"j": m_j}``."""
+    row = ens.measure_mask(mask)
+    spectrum = {str(j): m for j, m in enumerate(row["m"] or ()) if m}  # a 3D mask has None
+    return [nu, *(row[c] for c in ens.TABLE_COLUMNS), json.dumps(spectrum, sort_keys=True)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -38,7 +38,6 @@ from .spectrum import PowerSpectrumModel, check_type
 from .topo2d import (
     ExcursionMask,
     HoleSpectrum,
-    TopoStats,
     euler_closed_cell,
     excursion_mask,
     hole_spectrum,
@@ -201,7 +200,7 @@ class EnsembleResult:
     config: EnsembleConfig
     summaries: list[ThresholdSummary]
     stats: dict[str, np.ndarray]  # (n_realizations, n_thresholds) int64 each
-    mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1); all 0 in 3D
+    mj_tables: list[np.ndarray]  # per threshold: (n_realizations, jmax+1); none in 3D
     sigma0s: np.ndarray
     sigma1s: np.ndarray
 
@@ -211,9 +210,10 @@ class EnsembleResult:
         return float(np.mean(self.sigma0s / self.sigma1s))
 
     def nu_index(self, nu: float) -> int:
+        check_type("nu", nu, float, DomainError)
         nus = np.asarray(self.config.thresholds)
         idx = int(np.argmin(np.abs(nus - nu)))
-        if abs(nus[idx] - nu) > 1e-9:
+        if not abs(nus[idx] - nu) <= 1e-9:  # NaN is in no grid
             raise DomainError(f"threshold {nu} not in the ensemble grid")
         return idx
 
@@ -238,6 +238,7 @@ class EnsembleResult:
         return table.mean(axis=0), np.atleast_2d(np.cov(table, rowvar=False))
 
     def spectrum_at(self, realization: int, nu: float) -> HoleSpectrum:
+        check_type("realization", realization, int, DomainError)
         if not 0 <= realization < self.config.n_realizations:
             raise DomainError(
                 f"realization {realization} not in [0, {self.config.n_realizations})"
@@ -258,16 +259,21 @@ class EnsembleResult:
 # the pipeline
 
 
-def measure_mask(mask: ExcursionMask) -> tuple[TopoStats, HoleSpectrum]:
-    """Topological statistics of one mask and its hole spectrum.
+def measure_mask(mask: ExcursionMask) -> dict:
+    """The mask's row of the per-realization table, keyed by `TABLE_COLUMNS`, and its m_j as "m".
 
-    A 3D mask goes to `betti3d` and has an empty spectrum; a 2D mask goes
-    to `hole_spectrum`.
+    2D: `hole_spectrum`, with `euler_closed_cell` as the independent check of its run graph.
+    3D: `betti3d`, whose chi is the closed-cell count; it measures no m_j ("m" None, jmax 0).
     """
     if mask.dim == 3:
-        return betti3d(mask), HoleSpectrum()
-    hs = hole_spectrum(mask)
-    return topo_stats_from_spectrum(hs), hs
+        st = betti3d(mask)
+        m, jmax, chi_cell = None, 0, st.chi
+    else:
+        hs = hole_spectrum(mask)
+        st = topo_stats_from_spectrum(hs)
+        m, jmax, chi_cell = hs.m, hs.jmax, euler_closed_cell(mask)
+    stats = {name: getattr(st, name) for name in STAT_NAMES}
+    return {**stats, "jmax": jmax, "chi_cell": chi_cell, "bg": st.n_background, "m": m}
 
 
 def _realize(config: EnsembleConfig, index: int) -> dict:
@@ -286,17 +292,12 @@ def _realize(config: EnsembleConfig, index: int) -> dict:
         moments = sample_moments(field)
 
         table = np.zeros((len(config.thresholds), len(TABLE_COLUMNS)), dtype=np.int64)
-        mj: list[tuple[int, ...]] = []
+        mj: list[tuple[int, ...] | None] = []
         sigma = moments.sigma0 if config.sigma_mode == "sample" else config.sigma_mode
         for t, nu in enumerate(config.thresholds):
-            mask = excursion_mask(field, nu, sigma)
-            st, hs = measure_mask(mask)
-            # betti3d's chi is the closed-cell count; in 2D the whole-mask count
-            # checks the run graph's runs minus edges, which the hole counts come from
-            chi_cell = euler_closed_cell(mask) if mask.dim == 2 else st.chi
-            row = {"jmax": hs.jmax, "chi_cell": chi_cell, "bg": st.n_background}
-            table[t] = [row[c] if c in row else getattr(st, c) for c in TABLE_COLUMNS]
-            mj.append(hs.m)
+            row = measure_mask(excursion_mask(field, nu, sigma))
+            table[t] = [row[c] for c in TABLE_COLUMNS]
+            mj.append(row["m"])
     except FieldtopoError as exc:
         site = f"realization {index}, seed ({config.master_seed}, {index})"
         if nu is not None:
@@ -319,16 +320,16 @@ def _realize_args(args: tuple[EnsembleConfig, int]) -> dict:
 def _summarize(config: EnsembleConfig, rows: list[dict]) -> EnsembleResult:
     """Deterministic fold of the per-realization results, given in index order."""
     n = len(rows)
-    n_nu = len(config.thresholds)
     cube = np.stack([r["table"] for r in rows])  # (n, n_nu, len(TABLE_COLUMNS))
     stats = {name: cube[:, :, c] for c, name in enumerate(TABLE_COLUMNS)}
 
     mj_tables = []
-    for t in range(n_nu):
-        table = np.zeros((n, stats["jmax"][:, t].max() + 1), dtype=np.int64)
-        for i, m in enumerate(r["mj"][t] for r in rows):
-            table[i, : len(m)] = m
-        mj_tables.append(table)
+    if config.dim == 2:  # betti3d measures no m_j
+        for t in range(len(config.thresholds)):
+            table = np.zeros((n, stats["jmax"][:, t].max() + 1), dtype=np.int64)
+            for i, m in enumerate(r["mj"][t] for r in rows):
+                table[i, : len(m)] = m
+            mj_tables.append(table)
 
     summaries = []
     for t, nu in enumerate(config.thresholds):

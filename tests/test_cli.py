@@ -15,9 +15,9 @@ from fieldtopo.cli import (
     main,
     parse_run_config,
 )
-from fieldtopo.ensemble import EnsembleConfig, manifest_types
+from fieldtopo.ensemble import TABLE_COLUMNS, EnsembleConfig, manifest_types, run_ensemble
 from fieldtopo.errors import ConfigError
-from fieldtopo.grf import FieldGrid, save_field
+from fieldtopo.grf import FieldGrid, generate, save_field
 from fieldtopo.spectrum import PowerSpectrumModel
 
 
@@ -153,6 +153,30 @@ class TestSweep:
             assert int(row["bsum"]) == b0 + b1 + b2
             assert row["m_spectrum"] == "{}" and row["jmax"] == "0"
         assert any(int(r["b2"]) > 0 for r in rows) and any(int(r["b1"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_are_the_ensemble_table(self, tmp_path, dim):
+        # realization i, dumped and swept at the ensemble's thresholds, gives its
+        # row of the per-realization table and, in 2D, its m_j
+        config = EnsembleConfig(side=32, L=32.0, dim=dim, rs=2.0, n_realizations=3,
+                                thresholds=(-1.0, 0.0, 1.0), master_seed=5)
+        result = run_ensemble(config)
+        i = 2
+        save_field(generate(config.model, config.side, config.L, dim,
+                            seed=(config.master_seed, i), rs=config.rs), tmp_path / "f.bin")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--field", str(tmp_path / "f.bin"), "--nu-min=-1",
+                       "--nu-max", "1", "--nu-step", "1", "--sigma-mode", "sample",
+                       "--out", str(out)) == 0
+        rows = read_rows(out)
+        assert [float(r["nu"]) for r in rows] == list(config.thresholds)
+        for t, (nu, row) in enumerate(zip(config.thresholds, rows)):
+            assert {c: int(row[c]) for c in TABLE_COLUMNS} == {
+                c: result.stats[c][i, t] for c in TABLE_COLUMNS}
+            assert row["chi_cell"] == row["chi"]
+            spectrum = {int(j): m for j, m in json.loads(row["m_spectrum"]).items()}
+            m = result.spectrum_at(i, nu).m if dim == 2 else ()
+            assert spectrum == {j: c for j, c in enumerate(m) if c}
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -580,6 +604,17 @@ class TestRunConfigParsing:
             ),
             output_dir=".", workers=1, verbosity=1,
         )
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"workers": "2"}, {"workers": None}, {"workers": 2.5}, {"workers": True},
+         {"verbosity": "x"}, {"output_dir": 3}, {"config": None}],
+        ids=repr,
+    )
+    def test_run_config_rejects_wrong_types(self, field):
+        # typed before the workers range check, which "2" and None would fail untyped
+        with pytest.raises(ConfigError, match=f"{next(iter(field))} must be "):
+            RunConfig(**{"config": EnsembleConfig(), **field})
 
     @pytest.mark.parametrize("key", ["side", "L", "model", "schema", "config"])
     def test_non_file_keys_rejected(self, tmp_path, key):

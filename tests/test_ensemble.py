@@ -67,17 +67,19 @@ class TestMeasureMask:
         bits[1:6, 1:6] = True
         bits[2, 2] = bits[4, 4] = False
         bits[7, 7] = True
-        st, hs = measure_mask(ExcursionMask(bits=bits))
-        assert (hs.m, hs.jmax) == ((1, 0, 1), 2)
-        assert (st.b0, st.b1, st.b2, st.chi) == (2, 2, 0, 0)
+        assert measure_mask(ExcursionMask(bits=bits)) == {
+            "b0": 2, "b1": 2, "b2": 0, "chi": 0, "bsum": 4, "jmax": 2, "chi_cell": 0, "bg": 3,
+            "m": (1, 0, 1),
+        }
 
-    def test_3d_mask_has_empty_spectrum(self):
+    def test_3d_mask_has_no_spectrum(self):
         bits = np.zeros((5, 5, 5), dtype=bool)
         bits[1:4, 1:4, 1:4] = True
         bits[2, 2, 2] = False
-        st, hs = measure_mask(ExcursionMask(bits=bits))
-        assert (hs.m, hs.jmax) == ((), 0)
-        assert (st.b0, st.b1, st.b2, st.chi) == (1, 0, 1, 2)
+        assert measure_mask(ExcursionMask(bits=bits)) == {
+            "b0": 1, "b1": 0, "b2": 1, "chi": 2, "bsum": 2, "jmax": 0, "chi_cell": 2, "bg": 2,
+            "m": None,
+        }
 
 
 class TestConfig:
@@ -379,6 +381,23 @@ class TestRunEnsemble:
         with pytest.raises(DomainError):
             quick_result.samples("nope", 1.0)
 
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda r: r.samples("b0", math.nan), "threshold nan not in"),
+            (lambda r: r.spectrum_at(1, math.nan), "threshold nan not in"),
+            (lambda r: r.samples("b0", "0"), "nu must be float"),
+            (lambda r: r.summary_at(None), "nu must be float"),
+            (lambda r: r.spectrum_at(1.5, 0.0), "realization must be int"),
+            (lambda r: r.spectrum_at(True, 0.0), "realization must be int"),
+        ],
+        ids=["nan-samples", "nan-spectrum", "text-nu", "none-nu", "float-index", "bool-index"],
+    )
+    def test_threshold_or_index_not_in_the_ensemble_rejected(self, quick_result, read, message):
+        # NaN is within 1e-9 of no threshold, so it must not read as the first one
+        with pytest.raises(DomainError, match=message):
+            read(quick_result)
+
     def test_sd_ordering_follows_covariance_sign(self, quick_result):
         # algebraic consequence of the variance identities
         for s in quick_result.summaries:
@@ -503,10 +522,10 @@ class TestMjInequality:
             check_mj_inequality(mean, cov)
 
     def test_3d_result_rejected(self):
-        # betti3d measures no m_j: a 3D result's table is one all-zero m_0 column,
-        # which would read as no component where b0 counts several
+        # betti3d measures no m_j, so a 3D result stores no m_j table
         res = run_ensemble(quick_config(n_realizations=2, side=32, L=32.0, dim=3, thresholds=(0.0,)))
         assert res.stats["b0"].any()
+        assert res.mj_tables == []
         with pytest.raises(DomainError, match="3D result"):
             res.coefficient_moments(0.0)
         with pytest.raises(DomainError, match="3D result"):
