@@ -11,7 +11,7 @@ with total-variation distances.
 import time
 
 from fieldtopo import EnsembleConfig, PowerSpectrumModel, run_ensemble
-from fieldtopo.ensemble import compute_fits
+from fieldtopo.inference import compute_fits
 
 config = EnsembleConfig(
     model=PowerSpectrumModel(amplitude=1.0, alpha=0.0),

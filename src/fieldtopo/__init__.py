@@ -3,16 +3,16 @@
 The package covers the full chain from a parametric power spectrum to the
 statistics of excursion-set topology: spectral moments and length scales
 (`spectrum`), periodic field synthesis and smoothing (`grf`), the hole-count
-spectrum and Betti numbers in 2D (`topo2d`) and 3D (`topo3d`), ensemble
-moments with Binomial modeling (`ensemble`), and combinatorial state counting
+spectrum and Betti numbers in 2D (`topo2d`) and 3D (`topo3d`), seeded
+ensembles folded into per-threshold moments (`ensemble`), Binomial fits and
+diagnostics on those moments (`inference`), and combinatorial state counting
 (`states`).  The `fieldtopo` command exposes the pipeline from the shell.
 """
 
-from .ensemble import (
+from .ensemble import EnsembleConfig, EnsembleResult, ThresholdSummary, run_ensemble
+from .grf import FieldGrid, generate, load_field, sample_moments, save_field, smooth
+from .inference import (
     BinomialFit,
-    EnsembleConfig,
-    EnsembleResult,
-    ThresholdSummary,
     analytic_chi_amplitude,
     analytic_chi_gaussian,
     check_mj_inequality,
@@ -22,9 +22,7 @@ from .ensemble import (
     fit_binomial_moments,
     normality_trend,
     pdf_compare,
-    run_ensemble,
 )
-from .grf import FieldGrid, generate, load_field, sample_moments, save_field, smooth
 from .spectrum import (
     PowerSpectrumModel,
     SpectralParams,

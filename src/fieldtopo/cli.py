@@ -26,6 +26,7 @@ from .errors import (
     FormatError,
 )
 from .grf import generate, load_field, sample_moments, save_field
+from .inference import symmetric
 from .spectrum import PowerSpectrumModel, check_type
 from .topo2d import ExcursionMask, excursion_mask
 
@@ -211,7 +212,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     try:
         result = ens.run_ensemble(config, workers=run_cfg.workers)
         fits = ens.compute_fits(result)
-        duality = ens.duality_check(result.summaries) if ens.symmetric(config.thresholds) else None
+        duality = ens.duality_check(result.summaries) if symmetric(config.thresholds) else None
         ens.write_manifest(result, outdir / "manifest.json")
         ens.write_summary_csv(result, outdir / "summary.csv")
         ens.write_hist_csvs(result, outdir)

@@ -17,7 +17,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import run  # noqa: E402
 import worker  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, layer_samples  # noqa: E402
 
 import fieldtopo.ensemble as ens  # noqa: E402
 
@@ -98,3 +98,29 @@ def test_cli_job_writes_the_expected_files(tmp_path):
     paths = worker.run_job(wl, configs, cfg_path, outdir)
     assert len(list(outdir.iterdir())) == worker.expected_outputs(wl) == 19
     assert paths == [outdir / "summary.csv"] and paths[0].exists()
+
+
+def test_traced_cli_job_times_the_fits_and_the_writers(tmp_path):
+    # the tracer wraps `compute_fits`, `duality_check` and the writers on
+    # `fieldtopo.ensemble` (and `cli._write_duality_csv`): a CLI that reached
+    # them by other names would leave `ensemble.fits_ms` at 0
+    wl = dataclasses.asdict(dataclasses.replace(
+        run.WORKLOADS["ref2d"], sides=(32,), thresholds=(-1.0, 0.0, 1.0), n_realizations=4,
+        workers=1, table_side=32,
+    ))
+    configs, cfg_path = worker.build_configs(wl, 7, tmp_path)
+    outdir, spool = tmp_path / "out", tmp_path / "spool"
+    outdir.mkdir()
+    spool.mkdir()
+    tracer = Tracer(spool)
+    try:
+        tracer.install()
+        with tracer.span("bench.rep"):
+            worker.run_job(wl, configs, cfg_path, outdir)
+    finally:
+        tracer.uninstall()
+    spans = tracer.gather()
+    names = [span["name"] for span in spans]
+    assert names.count("ensemble.fits") == 2  # compute_fits and duality_check
+    assert names.count("ensemble.write") == 5  # manifest, summary, hist, fits and duality
+    assert layer_samples(spans, 32)["ensemble.fits_ms"][0] > 0

@@ -1,4 +1,7 @@
-"""Ensemble pipeline: moment algebra, fits, PDF distances, diagnostics.
+"""Ensemble pipeline (`ensemble`) and inference on its results (`inference`).
+
+The pipeline tests come first: moment algebra, the fold and the writers.  From
+`TestAnalyticChi` on, the fits, PDF distances and diagnostics of `inference`.
 
 Monte-Carlo-heavy checks at the reference scale live in test_acceptance; the
 ensembles here are kept small.
@@ -34,7 +37,9 @@ from fieldtopo import (
     run_ensemble,
 )
 import fieldtopo.ensemble as ens
-from fieldtopo.ensemble import N_TRIALS_CAP, TABLE_COLUMNS, config_from_manifest, measure_mask
+import fieldtopo.inference as inference
+from fieldtopo.ensemble import TABLE_COLUMNS, config_from_manifest, measure_mask
+from fieldtopo.inference import N_TRIALS_CAP
 from fieldtopo.errors import ConfigError, DegenerateFieldError, DomainError
 
 FLAT = PowerSpectrumModel(1.0)
@@ -381,6 +386,11 @@ class TestRunEnsemble:
         with pytest.raises(DomainError):
             quick_result.samples("nope", 1.0)
 
+    @pytest.mark.parametrize("stat", [["b0"], None, 3, b"b0"], ids=["list", "none", "int", "bytes"])
+    def test_samples_statistic_must_be_text(self, quick_result, stat):
+        with pytest.raises(DomainError, match="stat must be str"):
+            quick_result.samples(stat, 1.0)
+
     @pytest.mark.parametrize(
         "read, message",
         [
@@ -570,6 +580,22 @@ class TestBinomialFits:
         assert low.N_fit == pytest.approx(400.0 / 3.0)
         assert low.p_fit == pytest.approx(0.75)
 
+    def test_non_finite_tail_mean_rejected(self):
+        # r_c = 1e-160 overflows the analytic mean to inf
+        with pytest.raises(DomainError, match="mean must be finite"):
+            fit_binomial_chi(1.0, 1.0, 1e-160, 1.0)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda: fit_binomial_chi(1.0, 1.0, 1.0, 1e308), lambda: fit_binomial_moments(2e9, 2e9)],
+        ids=["tail", "poisson-limit"],
+    )
+    def test_capped_fit_needing_p_above_one_invalid(self, fit):
+        # the mean exceeds N_TRIALS_CAP, so p = mean / N_TRIALS_CAP would exceed 1
+        fit = fit()
+        assert not fit.valid and fit.N_fit == N_TRIALS_CAP and fit.p_fit > 1
+        assert fit.note == "mean above the N cap"
+
     def test_regime_preconditions(self):
         for nu in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite nu != 0"):
@@ -588,7 +614,7 @@ class TestBinomialFits:
             quick_config(side=32, L=32.0, rs=1.0, n_realizations=100, thresholds=(-2.0, 0.0, 2.0)),
             workers=1,
         )
-        rows = ens.compute_fits(result)
+        rows = inference.compute_fits(result)
         assert [(r.nu, r.statistic, r.regime) for r in rows] == [
             (-2.0, "chi", "low_negative"),
             *[(0.0, stat, "intermediate") for stat in ("b0", "b1", "chi", "bsum")],
@@ -608,7 +634,7 @@ class TestBinomialFits:
             quick_config(side=32, L=32.0, dim=3, n_realizations=100, thresholds=(-2.5, 0.0, 2.5)),
             workers=1,
         )
-        rows = ens.compute_fits(result)
+        rows = inference.compute_fits(result)
         assert [(r.regime, r.fit.valid) for r in (rows[0], rows[-1])] == [
             ("low_negative", False), ("high_positive", False),
         ]
@@ -753,12 +779,12 @@ class TestDualityCheck:
             duality_check(summaries)
 
     def test_symmetric_rule(self):
-        assert ens.symmetric((1.0, -1.0, 0.0))
-        assert ens.symmetric((-2.0, 2.0 + 1e-10))
-        assert not ens.symmetric((-1.0, 0.0, 0.5))
+        assert inference.symmetric((1.0, -1.0, 0.0))
+        assert inference.symmetric((-2.0, 2.0 + 1e-10))
+        assert not inference.symmetric((-1.0, 0.0, 0.5))
         # within numpy's default rtol of 1e-5, but not within 1e-9
-        assert not ens.symmetric((-100.0, 100.0009))
-        assert not ens.symmetric((-3.0, 0.0, 3.00002))
+        assert not inference.symmetric((-100.0, 100.0009))
+        assert not inference.symmetric((-3.0, 0.0, 3.00002))
 
     def test_perfect_duality_passes(self):
         summaries = [manual_summary(nu, 10.0, 10.0) for nu in (-1.0, 0.0, 1.0)]
