@@ -212,7 +212,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     try:
         result = ens.run_ensemble(config, workers=run_cfg.workers)
         fits = ens.compute_fits(result)
-        duality = ens.duality_check(result.summaries) if symmetric(config.thresholds) else None
+        # `DUALITY_SYSTEMATIC` was measured on 2D grids: a 3D run gets no duality verdict
+        planar_mirror = config.dim == 2 and symmetric(config.thresholds)
+        duality = ens.duality_check(result.summaries) if planar_mirror else None
         ens.write_manifest(result, outdir / "manifest.json")
         ens.write_summary_csv(result, outdir / "summary.csv")
         ens.write_hist_csvs(result, outdir)

@@ -182,9 +182,9 @@ class EnsembleResult:
 
     def nu_index(self, nu: float) -> int:
         check_type("nu", nu, float, DomainError)
-        nus = np.asarray(self.config.thresholds)
-        idx = int(np.argmin(np.abs(nus - nu)))
-        if not abs(nus[idx] - nu) <= 1e-9:  # NaN is in no grid
+        dist = [abs(t - float(nu)) for t in self.config.thresholds]
+        idx = dist.index(min(dist))  # the first closest, as argmin takes it
+        if not dist[idx] <= 1e-9:  # NaN is in no grid
             raise DomainError(f"threshold {nu} not in the ensemble grid")
         return idx
 

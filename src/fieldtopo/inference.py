@@ -27,7 +27,7 @@ STATISTICS = ("b0", "b1", "chi", "bsum")
 #: cap on the trials parameter when the moment inversion degenerates
 N_TRIALS_CAP = 1.0e9
 
-#: relative systematic allowance in the duality check for the 8/4 (26/6)
+#: relative systematic allowance in the duality check for the 2D 8/4
 #: connectivity asymmetry: a diagonal-only contact joins two foreground
 #: components but splits the background they enclose
 DUALITY_SYSTEMATIC = 0.02
@@ -164,11 +164,11 @@ def fit_binomial_moments(mean: float, variance: float) -> BinomialFit:
     denom = mean - variance
     if denom < 0:
         return BinomialFit(0.0, 0.0, False, "super-Poisson variance")
-    if denom == 0 or mean * mean / denom > N_TRIALS_CAP:
-        if mean > N_TRIALS_CAP:
-            return BinomialFit(N_TRIALS_CAP, mean / N_TRIALS_CAP, False, "mean above the N cap")
+    if mean > N_TRIALS_CAP:  # so mean * mean below cannot overflow
+        return BinomialFit(N_TRIALS_CAP, mean / N_TRIALS_CAP, False, "mean above the N cap")
+    n = mean * mean / denom if denom > 0 else math.inf
+    if n > N_TRIALS_CAP:
         return BinomialFit(N_TRIALS_CAP, mean / N_TRIALS_CAP, True, "poisson-like (N capped)")
-    n = mean * mean / denom
     if n < 1.0:
         return BinomialFit(n, mean / n, False, "N below one trial")
     return BinomialFit(n, mean / n, True)
@@ -291,47 +291,34 @@ def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:
     background components at -nu: the holes plus the pieces of exterior the
     frame cuts off.  (b1(-nu) leaves the frame-cut pieces out, so it is not
     the dual on a clipped window; in 3D neither is b1, which counts tunnels.)
-    What remains of the difference comes from the 8/4 (26/6) connectivity
-    asymmetry, which `DUALITY_SYSTEMATIC` allows for.  The z-score is the
-    excess of |difference| over that systematic, in units of the combined
-    standard error; |z| <= 3 is the pass mark.
+    What remains of the difference comes from the 8/4 connectivity
+    asymmetry, which `DUALITY_SYSTEMATIC` allows for; it was measured on 2D
+    ensembles (3D's 26/6 gap is larger).  The z-score is the excess of
+    |difference| over that systematic, in units of the combined standard
+    error; z <= 3 is the pass mark, which NaN (under 2 realizations) fails.
     """
     summaries = sorted(summaries, key=lambda s: s.nu)
     if not symmetric([s.nu for s in summaries]):
         raise ConfigError("duality check needs a threshold grid symmetric about 0")
 
     rows = []
-    for i, s_pos in enumerate(summaries):
-        s_neg = summaries[len(summaries) - 1 - i]  # summary at -nu
-        diff = s_pos.mean["b0"] - s_neg.mean["bg"]
+    for s_pos, s_neg in zip(summaries, reversed(summaries)):  # s_neg is the summary at -nu
+        b0, bg = s_pos.mean["b0"], s_neg.mean["bg"]
+        diff = b0 - bg
         se = math.hypot(s_pos.se("b0"), s_neg.se("bg"))
-        scale = max(abs(s_pos.mean["b0"]), abs(s_neg.mean["bg"]))
-        systematic = DUALITY_SYSTEMATIC * scale
-        flag = ""
+        systematic = DUALITY_SYSTEMATIC * max(abs(b0), abs(bg))
+        excess = max(0.0, abs(diff) - systematic)
         if s_pos.n_realizations < 2:
-            flag = "insufficient data"
             z = math.nan
-            ok = False
-        elif se == 0.0:
-            excess = max(0.0, abs(diff) - systematic)
+        elif se == 0.0:  # constant counts: any excess is infinitely many standard errors
             z = 0.0 if excess == 0.0 else math.inf
-            ok = z <= 3.0
         else:
-            z = max(0.0, abs(diff) - systematic) / se
-            ok = z <= 3.0
-        rows.append(
-            DualityRow(
-                nu=s_pos.nu,
-                mean_b0=s_pos.mean["b0"],
-                mean_bg_mirror=s_neg.mean["bg"],
-                diff=diff,
-                se_combined=se,
-                systematic=systematic,
-                z=z,
-                ok=ok,
-                flag=flag,
-            )
-        )
+            z = excess / se
+        rows.append(DualityRow(
+            nu=s_pos.nu, mean_b0=b0, mean_bg_mirror=bg, diff=diff, se_combined=se,
+            systematic=systematic, z=z, ok=z <= 3.0,  # NaN and inf fail
+            flag="insufficient data" if s_pos.n_realizations < 2 else "",
+        ))
     return rows
 
 
@@ -353,7 +340,8 @@ def normality_trend(
 
     All results must share the threshold grid; rows report, per statistic and
     threshold, whether |skewness| decreases monotonically as the grid side
-    grows (the Gaussian-limit trend).  Constant statistics are flagged.
+    grows (the Gaussian-limit trend).  A constant statistic is flagged, and
+    its NaN skewness compares False, so it breaks the trend.
     Skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3 come from the
     biased central moments m_k, in the same operations as the defaults of
     ``scipy.stats.skew`` and ``kurtosis``, so the values match them exactly.
@@ -383,10 +371,7 @@ def normality_trend(
                     m2 = d2.mean()
                     skews.append(float((d2 * d).mean() / m2**1.5))
                     kurts.append(float((d2**2).mean() / m2**2.0 - 3.0))
-            finite = [abs(s) for s in skews if not math.isnan(s)]
-            decreasing = len(finite) == len(skews) and all(
-                b < a for a, b in zip(finite, finite[1:])
-            )
+            decreasing = all(abs(b) < abs(a) for a, b in zip(skews, skews[1:]))
             rows.append(
                 NormalityRow(
                     statistic=stat,

@@ -318,7 +318,7 @@ amplitude = 1.0
 alpha = 0.0
 n = 32
 boxsize = 32
-dim = 2
+dim = {dim}
 rs = 1.0
 n_realizations = {n_real}
 thresholds = {thresholds}
@@ -329,9 +329,9 @@ workers = 1
 
 
 class TestEnsembleCommand:
-    def write_config(self, tmp_path, n_real=2, thresholds="-1, 0, 1"):
+    def write_config(self, tmp_path, n_real=2, thresholds="-1, 0, 1", dim=2):
         path = tmp_path / "run.cfg"
-        path.write_text(CONFIG_TEXT.format(n_real=n_real, thresholds=thresholds))
+        path.write_text(CONFIG_TEXT.format(n_real=n_real, thresholds=thresholds, dim=dim))
         return path
 
     def test_smoke_outputs(self, tmp_path):
@@ -353,6 +353,15 @@ class TestEnsembleCommand:
         assert (outdir / "hist_b0_1.csv").exists()
         assert (outdir / "duality.csv").exists()
         assert not (outdir / "PARTIAL_OUTPUT").exists()
+
+    def test_3d_run_writes_no_duality(self, tmp_path):
+        # the duality allowance was measured on 2D grids, so a 3D run gets no
+        # verdict, even on a symmetric threshold grid
+        cfg = self.write_config(tmp_path, dim=3)
+        outdir = tmp_path / "out"
+        assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == 0
+        assert (outdir / "summary.csv").exists() and (outdir / "fits.csv").exists()
+        assert not (outdir / "duality.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path, n_real=4)

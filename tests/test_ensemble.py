@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -587,12 +588,19 @@ class TestBinomialFits:
 
     @pytest.mark.parametrize(
         "fit",
-        [lambda: fit_binomial_chi(1.0, 1.0, 1.0, 1e308), lambda: fit_binomial_moments(2e9, 2e9)],
-        ids=["tail", "poisson-limit"],
+        [
+            lambda: fit_binomial_chi(1.0, 1.0, 1.0, 1e308),
+            lambda: fit_binomial_moments(2e9, 2e9),
+            # squaring this mean would overflow float64 with a RuntimeWarning
+            lambda: fit_binomial_moments(np.float64(1e200), np.float64(1.0)),
+        ],
+        ids=["tail", "poisson-limit", "float64-overflow"],
     )
     def test_capped_fit_needing_p_above_one_invalid(self, fit):
         # the mean exceeds N_TRIALS_CAP, so p = mean / N_TRIALS_CAP would exceed 1
-        fit = fit()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit()
         assert not fit.valid and fit.N_fit == N_TRIALS_CAP and fit.p_fit > 1
         assert fit.note == "mean above the N cap"
 
@@ -787,31 +795,38 @@ class TestDualityCheck:
         assert not inference.symmetric((-3.0, 0.0, 3.00002))
 
     def test_perfect_duality_passes(self):
-        summaries = [manual_summary(nu, 10.0, 10.0) for nu in (-1.0, 0.0, 1.0)]
-        rows = duality_check(summaries)
-        assert all(r.ok for r in rows)
-        assert [r.nu for r in rows] == [-1.0, 0.0, 1.0]
+        for sd in (1.0, 0.0):  # sd = 0: no standard error, and no excess either
+            summaries = [manual_summary(nu, 10.0, 10.0, sd=sd) for nu in (-1.0, 0.0, 1.0)]
+            rows = duality_check(summaries)
+            assert all(r.ok and r.z == 0.0 for r in rows)
+            assert [r.nu for r in rows] == [-1.0, 0.0, 1.0]
 
     def test_mirrored_lookup(self):
-        summaries = [
-            manual_summary(-1.0, mean_b0=3.0, mean_bg=20.0),
-            manual_summary(0.0, mean_b0=11.0, mean_bg=11.0),
-            manual_summary(1.0, mean_b0=20.4, mean_bg=2.0),
-        ]
-        rows = duality_check(summaries)
-        by_nu = {r.nu: r for r in rows}
-        # b0(1) = 20.4 against the background count at -1, 20.0
-        assert by_nu[1.0].diff == pytest.approx(0.4)
-        assert by_nu[1.0].mean_bg_mirror == 20.0
-        assert by_nu[1.0].ok
-        # b0(-1) = 3 against bg(1) = 2: 1.0 apart with sys 0.06, se sqrt(2)/10
-        assert by_nu[-1.0].diff == pytest.approx(1.0)
-        assert not by_nu[-1.0].ok
+        for sd in (1.0, 0.0):
+            summaries = [
+                manual_summary(-1.0, mean_b0=3.0, mean_bg=20.0, sd=sd),
+                manual_summary(0.0, mean_b0=11.0, mean_bg=11.0, sd=sd),
+                manual_summary(1.0, mean_b0=20.4, mean_bg=2.0, sd=sd),
+            ]
+            rows = duality_check(summaries)
+            by_nu = {r.nu: r for r in rows}
+            # b0(1) = 20.4 against the background count at -1, 20.0: within
+            # the 2% allowance of 0.408
+            assert by_nu[1.0].diff == pytest.approx(0.4)
+            assert by_nu[1.0].mean_bg_mirror == 20.0
+            assert by_nu[1.0].ok and by_nu[1.0].z == 0.0
+            # b0(-1) = 3 against bg(1) = 2: 1.0 apart with sys 0.06, se sqrt(2)/10;
+            # with sd = 0 there is no standard error, so the excess is infinitely many
+            assert by_nu[-1.0].diff == pytest.approx(1.0)
+            assert not by_nu[-1.0].ok
+            z = math.inf if sd == 0.0 else pytest.approx(0.94 / math.sqrt(0.02))
+            assert by_nu[-1.0].z == z
 
     def test_single_realization_flagged(self):
         summaries = [manual_summary(0.0, 5.0, 5.0, n=1)]
         rows = duality_check(summaries)
         assert rows[0].flag == "insufficient data"
+        assert math.isnan(rows[0].z) and not rows[0].ok
 
 
 @pytest.fixture(scope="module")
@@ -860,15 +875,26 @@ class TestNormalityTrend:
         rng = np.random.default_rng(20250801)
         results = []
         for side, n in zip((32, 64, 128), (8, 100, 500)):
+            skewed, even, flat = rng.geometric(0.3, n), rng.binomial(40, 0.5, n), np.full(n, 3)
             draws = {"b0": rng.poisson(12.0, n), "b1": rng.integers(0, 400, n),
-                     "chi": rng.binomial(3, 0.02, n) - 1, "bsum": np.full(n, 7)}
+                     "chi": rng.binomial(3, 0.02, n) - 1, "bsum": np.full(n, 7),
+                     # constant at one end only; |skewness| falls across the other two
+                     "flat_first": {32: flat, 64: skewed, 128: even}[side],
+                     "flat_last": {32: skewed, 64: even, 128: flat}[side]}
             results.append(SimpleNamespace(
                 config=SimpleNamespace(side=side, thresholds=(1.0,)),
                 samples=lambda stat, nu, d=draws: d[stat],
             ))
-        rows = normality_trend(results)
+        rows = normality_trend(results, statistics=tuple(draws))
         self.check_against_scipy(results, rows)
         assert any(row.flags for row in rows)  # the constant bsum
+        by_stat = {row.statistic: row for row in rows}
+        for stat, side in [("flat_first", 32), ("flat_last", 128)]:
+            row = by_stat[stat]
+            assert row.flags == [f"constant at side {side}"]
+            assert not row.abs_skew_decreasing
+            finite = [abs(g) for g in row.skewness if not math.isnan(g)]
+            assert finite[1] < finite[0]  # so the NaN alone breaks the trend
 
     def test_moments_equal_scipy_on_an_ensemble(self, two_sizes):
         self.check_against_scipy(two_sizes, normality_trend(two_sizes))
