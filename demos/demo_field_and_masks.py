@@ -11,12 +11,12 @@ import math
 
 from fieldtopo import (
     PowerSpectrumModel,
-    correlation_length,
     excursion_mask,
     generate,
     hole_spectrum,
     sample_moments,
     spectral_moment,
+    spectral_params,
     topo_stats_from_spectrum,
 )
 
@@ -27,7 +27,7 @@ field = generate(model, side, box, dim=2, seed=20250801, rs=rs)
 
 moments = sample_moments(field)
 predicted_sigma0 = math.sqrt(spectral_moment(model, 0, rs, 0.0, math.inf, 2))
-predicted_rc = correlation_length(model, rs=rs, L=box, dim=2)
+predicted_rc = spectral_params(model, rs=rs, L=box, dim=2).r_c
 print(f"sample sigma0 = {moments.sigma0:.5f}   (quadrature: {predicted_sigma0:.5f})")
 print(f"sample r_c    = {moments.sigma0 / moments.sigma1:.3f}   (quadrature: {predicted_rc:.3f})")
 

@@ -12,7 +12,7 @@ box.
 
 import math
 
-from fieldtopo import PowerSpectrumModel, correlation_length, spectral_params
+from fieldtopo import PowerSpectrumModel, spectral_params
 
 flat = PowerSpectrumModel(amplitude=1.0, alpha=0.0)
 banded = PowerSpectrumModel(amplitude=1.0, alpha=0.0, k_low_cutoff=0.1, k_high_cutoff=1.0)
@@ -31,7 +31,7 @@ print("halving rs halves r_c and multiplies q by ~2^d: resolution creates room")
 # --- type 2: r_c pinned by the intrinsic band -----------------------------
 print("\ntype-2 (banded) spectrum, rs = 1e-4, L swept:")
 for L in (100.0, 200.0, 400.0, 800.0):
-    r_c = correlation_length(banded, rs=1e-4, L=L, dim=3)
+    r_c = spectral_params(banded, rs=1e-4, L=L, dim=3).r_c
     print(f"L={L:6.0f}  r_c={r_c:.6f}  q={(L / r_c) ** 3:12.0f}")
 print("r_c is frozen by the cutoffs; growing the box only grows q")
 
@@ -43,7 +43,7 @@ steep = PowerSpectrumModel(amplitude=1.0, alpha=-5.0)
 print("\nsteep spectrum (alpha = -5), rs = 1, L swept:")
 pairs = []
 for L in (200.0, 400.0, 800.0, 1600.0):
-    r_c = correlation_length(steep, rs=1.0, L=L, dim=3)
+    r_c = spectral_params(steep, rs=1.0, L=L, dim=3).r_c
     pairs.append((L, r_c))
     print(f"L={L:7.0f}  r_c={r_c:10.3f}")
 slope = math.log(pairs[-1][1] / pairs[0][1]) / math.log(pairs[-1][0] / pairs[0][0])

@@ -26,7 +26,6 @@ from .inference import (
 from .spectrum import (
     PowerSpectrumModel,
     SpectralParams,
-    correlation_length,
     eval_power,
     packing_fraction,
     spectral_moment,
@@ -71,7 +70,6 @@ __all__ = [
     "betti3d",
     "betti_from_h",
     "check_mj_inequality",
-    "correlation_length",
     "count_all",
     "count_states_formula",
     "duality_check",

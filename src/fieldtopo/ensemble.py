@@ -22,7 +22,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 import scipy
 
-from .errors import ConfigError, DomainError, FieldtopoError
+from .errors import ConfigError, DegenerateFieldError, DomainError, FieldtopoError
 from .grf import generate, sample_moments
 from .grf import smooth  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 from .inference import STATISTICS, DualityRow, FitRow
@@ -177,7 +177,9 @@ class EnsembleResult:
 
     @property
     def r_c_measured(self) -> float:
-        """Mean of the per-realization sigma0/sigma1 ratios."""
+        """Mean of the per-realization sigma0/sigma1 ratios; a flat realization has none."""
+        if not self.sigma1s.all():
+            raise DegenerateFieldError("a realization has sigma_1 = 0: no measured r_c")
         return float(np.mean(self.sigma0s / self.sigma1s))
 
     def nu_index(self, nu: float) -> int:

@@ -148,8 +148,9 @@ def generate(
     dim : int
         2 or 3.
     seed : int or sequence of int
-        Seeds the generator; an ensemble should pass (master_seed, index) so
-        realizations are reproducible independently of scheduling.
+        Seeds the generator: an integer >= 0 or a non-empty tuple or list of
+        them, else `DomainError`; an ensemble should pass (master_seed, index)
+        so realizations are reproducible independently of scheduling.
     rs : float
         Gaussian smoothing length (finite, >= 0); 0 leaves the field unsmoothed.
     """
@@ -160,6 +161,11 @@ def generate(
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"box size must be finite and positive, got {L}")
     check_rs(rs)
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or not all(
+        isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0 for p in parts
+    ):
+        raise DomainError(f"seed must be an int >= 0 or a non-empty list of them, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     try:

@@ -338,9 +338,10 @@ def normality_trend(
 ) -> list[NormalityRow]:
     """Track skewness and excess kurtosis across grid sizes.
 
-    All results must share the threshold grid; rows report, per statistic and
-    threshold, whether |skewness| decreases monotonically as the grid side
-    grows (the Gaussian-limit trend).  A constant statistic is flagged, and
+    All results must share the threshold grid and the dimension, each at its
+    own grid side; rows report, per statistic and threshold, whether
+    |skewness| decreases monotonically as the grid side grows (the
+    Gaussian-limit trend).  A constant statistic is flagged, and
     its NaN skewness compares False, so it breaks the trend.
     Skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3 come from the
     biased central moments m_k, in the same operations as the defaults of
@@ -354,6 +355,8 @@ def normality_trend(
             raise ConfigError("all ensembles must share the threshold grid")
     results = sorted(results, key=lambda r: r.config.side)
     sides = [r.config.side for r in results]
+    if len({r.config.dim for r in results}) > 1 or len(set(sides)) < len(sides):
+        raise ConfigError("all ensembles must share the dimension and differ in grid side")
 
     rows = []
     for stat in statistics:
@@ -411,7 +414,6 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
     "no 3D analytic chi", with chi sampled as it is.  TV distances are
     attached when there are enough realizations for a PDF comparison.
     """
-    r_c = result.r_c_measured
     area = result.config.area
     enough = result.config.n_realizations >= MIN_PDF_SAMPLES
     planar = result.config.dim == 2
@@ -424,7 +426,7 @@ def compute_fits(result: EnsembleResult) -> list[FitRow]:
             if tail:
                 regime = "high_positive" if nu > 0 else "low_negative"
                 if planar and summary.sd["chi"] > 0:
-                    fit = fit_binomial_chi(nu, summary.sd["chi"], r_c, area)
+                    fit = fit_binomial_chi(nu, summary.sd["chi"], result.r_c_measured, area)
                 else:  # chi took one value in every realization, or no 3D mean to invert against
                     note = "zero variance" if planar else "no 3D analytic chi"
                     fit = BinomialFit(0.0, 0.0, False, note)

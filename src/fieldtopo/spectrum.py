@@ -210,23 +210,6 @@ def spectral_moment(
     return coef * value
 
 
-def correlation_length(
-    model: PowerSpectrumModel,
-    rs: float = 0.0,
-    L: float = math.inf,
-    dim: int = 3,
-    kmax: float | None = None,
-) -> float:
-    """Correlation length r_c = sigma0 / sigma1 with observational cutoffs.
-
-    The finite field of view enters as a hard low cutoff kmin = 2 pi / L; the
-    high cutoff is the intrinsic one, the caller-supplied ``kmax`` cap (e.g. a
-    grid Nyquist frequency pi * N / L), or the smoothing window, whichever
-    bites first.
-    """
-    return spectral_params(model, rs, L, dim, kmax).r_c
-
-
 def packing_fraction(r_c: float, L: float, dim: int) -> float:
     """Number of r_c-sized structures fitting in a d-dimensional box: (L/r_c)^d."""
     if not (r_c > 0 and L > 0):
@@ -243,7 +226,13 @@ def spectral_params(
     dim: int,
     kmax: float | None = None,
 ) -> SpectralParams:
-    """Bundle sigma0, sigma1, r_c and q for one observation setup; L = inf is the plane."""
+    """Bundle sigma0, sigma1, r_c and q for one observation setup.
+
+    The finite field of view enters as a hard low cutoff kmin = 2 pi / L, and
+    L = inf is the plane; the high cutoff is the intrinsic one, the
+    caller-supplied ``kmax`` cap (e.g. a grid Nyquist frequency pi * N / L), or
+    the smoothing window, whichever bites first.
+    """
     if not L > 0:
         raise DomainError(f"box size L must be > 0, got {L}")
     kmin = 0.0 if math.isinf(L) else 2.0 * math.pi / L

@@ -25,6 +25,8 @@ from .errors import DomainError, SizeError
 
 _VECTOR_GUARD = 40
 _COMPOSITION_GUARD = 60
+#: most compositions `enumerate_composition_states` lists with ``return_states``
+_LISTING_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,18 @@ def enumerate_composition_states(
 
     This is the distinguishable-boxes reading of the counting problem.  The
     count recurses over the literal definition (no binomial shortcut); with
-    ``return_states`` the compositions are materialized, which is only
-    feasible for small n1.
+    ``return_states`` the compositions are materialized, and a listing longer
+    than `_LISTING_CAP` raises `SizeError` before it starts.
     """
     if n0 < 0 or n1 < 0:
         raise DomainError(f"counts must be non-negative, got ({n0}, {n1})")
     if max(n0, n1) > _COMPOSITION_GUARD:
         raise SizeError(f"composition enumeration guarded at {_COMPOSITION_GUARD}")
+    count = _compositions_at_most(n1, min(n0, n1))
     if not return_states:
-        return _compositions_at_most(n1, min(n0, n1))
+        return count
+    if count > _LISTING_CAP:
+        raise SizeError(f"listing {count} compositions exceeds the cap of {_LISTING_CAP}")
 
     states: list[tuple[int, ...]] = []
 

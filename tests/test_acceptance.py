@@ -38,7 +38,6 @@ from fieldtopo import (
     analytic_chi_gaussian,
     betti3d,
     betti_from_h,
-    correlation_length,
     count_states_formula,
     duality_check,
     enumerate_composition_states,
@@ -464,9 +463,9 @@ def test_criterion_8_3d_fixtures():
 
 def test_criterion_9_spectral_scaling():
     type2 = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=0.1, k_high_cutoff=1.0)
-    base = correlation_length(type2, rs=1e-4, L=200.0, dim=3)
-    double_L = correlation_length(type2, rs=1e-4, L=400.0, dim=3)
-    half_rs = correlation_length(type2, rs=5e-5, L=200.0, dim=3)
+    base = spectral_params(type2, rs=1e-4, L=200.0, dim=3).r_c
+    double_L = spectral_params(type2, rs=1e-4, L=400.0, dim=3).r_c
+    half_rs = spectral_params(type2, rs=5e-5, L=200.0, dim=3).r_c
     type2_ok = (
         abs(double_L - base) <= 1e-6 * base and abs(half_rs - base) <= 1e-6 * base
     )

@@ -415,6 +415,21 @@ class TestEnsembleCommand:
         assert fits == ["3.5,chi,high_positive,0,0,0,,,zero variance"]
         assert not (outdir / "PARTIAL_OUTPUT").exists()
 
+    def test_flat_field_with_fixed_sigma_completes(self, tmp_path):
+        # sigma_1 = 0 in every realization, so there is no measured r_c; chi
+        # never varies at the tail thresholds, so no fit asks for one
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("amplitude = 0\nsigma_mode = 1.0\nn = 32\nboxsize = 32\n"
+                       "thresholds = -2 0 2\n")
+        outdir = tmp_path / "flat"
+        assert run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir)) == 0
+        fits = (outdir / "fits.csv").read_text().splitlines()[2:]
+        assert [row for row in fits if row.startswith(("-2,", "2,"))] == [
+            "-2,chi,low_negative,0,0,0,,,zero variance",
+            "2,chi,high_positive,0,0,0,,,zero variance",
+        ]
+        assert not (outdir / "PARTIAL_OUTPUT").exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

@@ -247,6 +247,13 @@ class TestRunEnsemble:
             run_ensemble(cfg, workers=workers)
         assert str(exc.value).startswith("realization 0, seed (99, 0), nu = -1.0: sigma0 = 0.0")
 
+    def test_flat_field_has_no_measured_rc(self):
+        # a fixed sigma lets the flat field through, but sigma_1 = 0 gives no r_c
+        cfg = quick_config(model=PowerSpectrumModel(0.0), n_realizations=2, side=32, L=32.0,
+                           sigma_mode=1.0, thresholds=(-2.0, 0.0, 2.0))
+        with pytest.raises(DegenerateFieldError, match="sigma_1 = 0"):
+            run_ensemble(cfg).r_c_measured
+
     def test_failure_before_the_thresholds_names_no_nu(self):
         cfg = quick_config(model=PowerSpectrumModel(1e308), n_realizations=2, side=32, L=32.0)
         with pytest.raises(DomainError, match=r"^realization 0, seed \(99, 0\): the field"):
@@ -882,7 +889,7 @@ class TestNormalityTrend:
                      "flat_first": {32: flat, 64: skewed, 128: even}[side],
                      "flat_last": {32: skewed, 64: even, 128: flat}[side]}
             results.append(SimpleNamespace(
-                config=SimpleNamespace(side=side, thresholds=(1.0,)),
+                config=SimpleNamespace(side=side, dim=2, thresholds=(1.0,)),
                 samples=lambda stat, nu, d=draws: d[stat],
             ))
         rows = normality_trend(results, statistics=tuple(draws))
@@ -902,6 +909,13 @@ class TestNormalityTrend:
     def test_needs_two_results(self, two_sizes):
         with pytest.raises(ConfigError):
             normality_trend(two_sizes[:1])
+
+    def test_needs_one_dim_and_distinct_sides(self, two_sizes):
+        cube = run_ensemble(quick_config(side=32, L=32.0, dim=3, rs=1.0, n_realizations=4,
+                                         thresholds=(-6.0, 1.0)))
+        for results in ([two_sizes[0], cube], [two_sizes[0], two_sizes[0]]):
+            with pytest.raises(ConfigError, match="differ in grid side"):
+                normality_trend(results)
 
     def test_needs_common_grid(self, two_sizes):
         other = run_ensemble(quick_config(side=32, L=32.0, n_realizations=4,

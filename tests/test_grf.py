@@ -8,7 +8,6 @@ import pytest
 
 from fieldtopo import (
     PowerSpectrumModel,
-    correlation_length,
     eval_power,
     generate,
     load_field,
@@ -16,6 +15,7 @@ from fieldtopo import (
     save_field,
     smooth,
     spectral_moment,
+    spectral_params,
 )
 from fieldtopo.errors import ConfigError, DomainError, FormatError
 from fieldtopo.grf import FieldGrid, _synthesis_gain
@@ -49,6 +49,9 @@ class TestGenerate:
             generate(FLAT, 16, 16.0, 2, seed=0)
         with pytest.raises(DomainError):
             generate(FLAT, 32, 32.0, 4, seed=0)
+        for seed in (-1, (-1, 0), 1.5):
+            with pytest.raises(DomainError, match="seed"):
+                generate(FLAT, 32, 32.0, 2, seed=seed)
 
     def test_values_of_the_wrong_shape_rejected(self):
         with pytest.raises(ConfigError, match=r"values shape \(32, 16\) does not match"):
@@ -326,7 +329,7 @@ class TestSampleMoments:
 
     def test_rc_matches_correlation_length(self):
         side, L, rs, nseeds = 128, 128.0, 4.0, 100
-        pred = correlation_length(FLAT, rs=rs, L=L, dim=2)
+        pred = spectral_params(FLAT, rs=rs, L=L, dim=2).r_c
         ratios = []
         for s in range(nseeds):
             moments = sample_moments(smooth(generate(FLAT, side, L, 2, seed=(7, s)), rs))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fieldtopo import (
     PowerSpectrumModel,
-    correlation_length,
     eval_power,
     packing_fraction,
     spectral_moment,
@@ -168,34 +167,34 @@ class TestSpectralMoment:
 class TestCorrelationLength:
     def test_flat_reference(self):
         # sigma1^2/sigma0^2 = Gamma(5/2)/Gamma(3/2) = 3/2 for flat 3D, rs = 1
-        assert correlation_length(FLAT, rs=1.0, L=math.inf, dim=3) == pytest.approx(
+        assert spectral_params(FLAT, rs=1.0, L=math.inf, dim=3).r_c == pytest.approx(
             math.sqrt(2.0 / 3.0), rel=1e-9
         )
 
     def test_type2_invariant_under_L(self):
         model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=0.1, k_high_cutoff=1.0)
-        r1 = correlation_length(model, rs=0.0, L=200.0, dim=3)
-        r2 = correlation_length(model, rs=0.0, L=400.0, dim=3)
+        r1 = spectral_params(model, rs=0.0, L=200.0, dim=3).r_c
+        r2 = spectral_params(model, rs=0.0, L=400.0, dim=3).r_c
         assert r2 == pytest.approx(r1, rel=1e-6)
 
     def test_type2_stable_under_small_rs(self):
         model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=0.1, k_high_cutoff=1.0)
-        r1 = correlation_length(model, rs=1e-4, L=200.0, dim=3)
-        r2 = correlation_length(model, rs=5e-5, L=200.0, dim=3)
+        r1 = spectral_params(model, rs=1e-4, L=200.0, dim=3).r_c
+        r2 = spectral_params(model, rs=5e-5, L=200.0, dim=3).r_c
         assert r2 == pytest.approx(r1, rel=1e-6)
 
     def test_type1_rs_scaling(self):
-        r_big = correlation_length(FLAT, rs=4.0, L=512.0, dim=3)
-        r_small = correlation_length(FLAT, rs=2.0, L=512.0, dim=3)
+        r_big = spectral_params(FLAT, rs=4.0, L=512.0, dim=3).r_c
+        r_small = spectral_params(FLAT, rs=2.0, L=512.0, dim=3).r_c
         assert r_big / r_small == pytest.approx(2.0, rel=0.10)
 
     def test_degenerate(self):
         model = PowerSpectrumModel(amplitude=0.0)
         with pytest.raises(DegenerateFieldError):
-            correlation_length(model, rs=1.0, L=math.inf, dim=3)
+            spectral_params(model, rs=1.0, L=math.inf, dim=3).r_c
 
     def test_kmax_cap_respected(self):
-        capped = correlation_length(FLAT, rs=0.0, L=100.0, dim=2, kmax=3.0)
+        capped = spectral_params(FLAT, rs=0.0, L=100.0, dim=2, kmax=3.0).r_c
         # with an explicit cap the integrals are plain power laws
         kmin = 2 * math.pi / 100.0
         s0 = (3.0**2 - kmin**2) / (4 * math.pi)
@@ -248,11 +247,11 @@ class TestSpectralParams:
         with pytest.raises(DomainError, match="box size L"):
             spectral_params(FLAT, 1.0, L, 2)
         with pytest.raises(DomainError, match="box size L"):
-            correlation_length(FLAT, rs=1.0, L=L, dim=2)
+            spectral_params(FLAT, rs=1.0, L=L, dim=2).r_c
 
     def test_nan_rs_rejected(self):
         with pytest.raises(DomainError, match="smoothing length"):
-            correlation_length(FLAT, rs=math.nan, L=64.0, dim=2)
+            spectral_params(FLAT, rs=math.nan, L=64.0, dim=2).r_c
 
     def test_identities(self):
         params = spectral_params(FLAT, rs=2.0, L=256.0, dim=2)

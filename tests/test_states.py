@@ -125,6 +125,12 @@ class TestCompositionOracle:
         with pytest.raises(SizeError):
             enumerate_composition_states(61, 2)
 
+    def test_listing_cap(self):
+        # 2^39 compositions: refused before one is listed, while the count is cheap
+        with pytest.raises(SizeError, match="exceeds the cap"):
+            enumerate_composition_states(40, 40, return_states=True)
+        assert enumerate_composition_states(40, 40) == 2**39
+
     def test_recursive_count_matches_literal_enumeration(self):
         for n0 in range(0, 9):
             for n1 in range(0, 11):
