@@ -22,7 +22,7 @@ for pair in ((3, 2), (4, 3), (2, 5), (6, 3), (3, 8)):
           f"{c.composition_count:12d} {'yes' if c.discrepancy else 'no':>7}")
 
 print("\nthe five coefficient vectors behind b0 = b1 = 4:")
-_, states = enumerate_vector_states(4, 4, 4, return_states=True)
+_, states = enumerate_vector_states(4, 4, return_states=True)
 for vec in sorted(states, reverse=True):
     terms = " + ".join(f"{m} x Q_{j}" for j, m in enumerate(vec) if m)
     print(f"  (m_0..m_4) = {vec}   i.e. {terms}")

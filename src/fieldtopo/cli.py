@@ -48,7 +48,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, tp in get_type_hints(RunConfig).items():
-            check_type(name, getattr(self, name), tp, ConfigError)
+            object.__setattr__(self, name, check_type(name, getattr(self, name), tp, ConfigError))
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -236,8 +236,7 @@ _write_duality_csv = ens.write_duality_csv
 
 
 def _cmd_states(args: argparse.Namespace) -> int:
-    jmax = args.jmax if args.jmax is not None else max(args.b1, 0)
-    count = states_mod.count_all(args.b0, args.b1, jmax=jmax)
+    count = states_mod.count_all(args.b0, args.b1)
     payload = {
         "formula": count.formula_count,
         "vector": count.vector_count,
@@ -245,9 +244,7 @@ def _cmd_states(args: argparse.Namespace) -> int:
         "discrepancy": count.discrepancy,
     }
     if args.list:
-        _, vectors = states_mod.enumerate_vector_states(
-            args.b0, args.b1, jmax, return_states=True
-        )
+        _, vectors = states_mod.enumerate_vector_states(args.b0, args.b1, return_states=True)
         payload["states"] = [list(v) for v in vectors]
     print(json.dumps(payload))
     return 0
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     states_p = sub.add_parser("states", help="count coefficient states for (b0, b1)")
     states_p.add_argument("--b0", type=_nonnegative_int, required=True)
     states_p.add_argument("--b1", type=_nonnegative_int, required=True)
-    states_p.add_argument("--jmax", type=_nonnegative_int, default=None)
     states_p.add_argument("--list", action="store_true",
                           help="also list the coefficient vectors")
     states_p.set_defaults(func=_cmd_states)

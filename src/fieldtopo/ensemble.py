@@ -73,7 +73,7 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         for name, tp in get_type_hints(EnsembleConfig).items():
-            check_type(name, getattr(self, name), tp, ConfigError)
+            object.__setattr__(self, name, check_type(name, getattr(self, name), tp, ConfigError))
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if self.side < 32 or self.side & (self.side - 1) != 0:
@@ -87,7 +87,7 @@ class EnsembleConfig:
             raise ConfigError("an ensemble needs at least 2 realizations")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        nus = tuple(float(v) for v in self.thresholds)
+        nus = self.thresholds
         if not (nus and all(math.isfinite(v) for v in nus)):
             raise ConfigError("thresholds must list at least one finite value")
         for a, b in zip(nus, nus[1:]):
@@ -95,7 +95,6 @@ class EnsembleConfig:
                 raise ConfigError("thresholds must be strictly increasing")
             if format(a, FLOAT_FORMAT) == format(b, FLOAT_FORMAT):  # rounding is monotone
                 raise ConfigError(f"thresholds {a!r} and {b!r} both print as {a:{FLOAT_FORMAT}}")
-        object.__setattr__(self, "thresholds", nus)
 
     @property
     def area(self) -> float:

@@ -150,7 +150,8 @@ def generate(
     seed : int or sequence of int
         Seeds the generator: an integer >= 0 or a non-empty tuple or list of
         them, else `DomainError`; an ensemble should pass (master_seed, index)
-        so realizations are reproducible independently of scheduling.
+        so realizations are reproducible independently of scheduling.  The
+        field stores it as a Python int or a tuple of them.
     rs : float
         Gaussian smoothing length (finite, >= 0); 0 leaves the field unsmoothed.
     """
@@ -166,6 +167,7 @@ def generate(
         isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0 for p in parts
     ):
         raise DomainError(f"seed must be an int >= 0 or a non-empty list of them, got {seed!r}")
+    seed = tuple(map(int, parts)) if isinstance(seed, (tuple, list)) else int(seed)
 
     rng = np.random.default_rng(seed)
     try:
@@ -236,19 +238,15 @@ def save_field(field: FieldGrid, path: str | Path) -> None:
     order.  Box size, applied smoothing and seed go to ``<path>.json``.
     """
     path = Path(path)
+    sidecar = {"L": field.L, "rs_applied": field.rs_applied, "seed": field.seed}
+    # built before either file opens, so a value JSON refuses leaves no file behind
+    sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     header = _HEADER.pack(_MAGIC, _VERSION, field.dim, field.side)
     header += b"\x00" * (_HEADER_SIZE - len(header))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-    sidecar = {
-        "L": field.L,
-        "rs_applied": field.rs_applied,
-        "seed": list(field.seed) if isinstance(field.seed, (tuple, list)) else field.seed,
-    }
-    with open(path.with_name(path.name + ".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.with_name(path.name + ".json").write_text(sidecar_text)
 
 
 def load_field(path: str | Path) -> FieldGrid:

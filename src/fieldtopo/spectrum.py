@@ -44,7 +44,7 @@ class PowerSpectrumModel:
 
     def __post_init__(self) -> None:
         for name, tp in get_type_hints(PowerSpectrumModel).items():
-            check_type(name, getattr(self, name), tp, DomainError)
+            object.__setattr__(self, name, check_type(name, getattr(self, name), tp, DomainError))
         for f in fields(self):
             val = getattr(self, f.name)
             if val is not None and not math.isfinite(val):
@@ -82,12 +82,13 @@ class SpectralParams:
     q: float
 
 
-def check_type(name: str, value, tp, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``value`` has the annotated type ``tp``.
+def check_type(name: str, value, tp, error: type[Exception]):
+    """Raise ``error`` unless ``value`` has the annotated type ``tp``; return its Python form.
 
     An int passes as a float, a numpy scalar as its Python type, and a tuple,
     list or 1-D array of such numbers as a ``tuple[float, ...]``; a bool is
-    no number.
+    no number.  A number comes back as the annotation's ``int`` or ``float``,
+    and a sequence as a tuple of them, so equal values print and hash alike.
     """
 
     def fits(v, t) -> bool:
@@ -100,8 +101,16 @@ def check_type(name: str, value, tp, error: type[Exception]) -> None:
             return t is bool
         return isinstance(v, {int: numbers.Integral, float: numbers.Real}.get(t, t))
 
+    def form(v, t):
+        if get_origin(t) is tuple:
+            return tuple(form(x, get_args(t)[0]) for x in v)
+        if get_args(t):  # a union: the form of the first member that v fits
+            return form(v, next(a for a in get_args(t) if fits(v, a)))
+        return t(v) if t in (int, float) else v
+
     if not fits(value, tp):
         raise error(f"{name} must be {tp.__name__ if isinstance(tp, type) else tp}, got {value!r}")
+    return form(value, tp)
 
 
 def check_rs(rs: float) -> None:

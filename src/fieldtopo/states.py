@@ -1,4 +1,4 @@
-"""Counting the spectra (m_0, ..., m_jmax) compatible with a given (b0, b1).
+"""Counting the spectra (m_0, ..., m_b1) compatible with a given (b0, b1).
 
 Two inequivalent readings of the question coexist and are both implemented:
 
@@ -58,21 +58,17 @@ def count_states_formula(n0: int, n1: int) -> int:
     return sum(comb(n1 - 1, k - 1) for k in range(1, min(n0, n1) + 1))
 
 
-def enumerate_vector_states(
-    n0: int, n1: int, jmax: int, return_states: bool = False
-):
-    """Exhaustively count coefficient vectors (m_0, ..., m_jmax).
+def enumerate_vector_states(n0: int, n1: int, *, return_states: bool = False):
+    """Exhaustively count coefficient vectors (m_0, ..., m_n1).
 
     Counts all non-negative integer solutions of sum m_j = n0 and
-    sum j m_j = n1.  With ``return_states`` the tuples themselves are
-    returned alongside the count.
+    sum j m_j = n1 (no component holds more than n1 holes).  With
+    ``return_states`` the tuples themselves are returned alongside the count.
     """
-    if n0 < 0 or n1 < 0 or jmax < 0:
-        raise DomainError(f"inputs must be non-negative, got ({n0}, {n1}, {jmax})")
+    if n0 < 0 or n1 < 0:
+        raise DomainError(f"inputs must be non-negative, got ({n0}, {n1})")
     if max(n0, n1) > _VECTOR_GUARD:
         raise SizeError(f"vector enumeration guarded at {_VECTOR_GUARD}")
-    if jmax < n1 and n1 > 0:
-        raise DomainError("need jmax >= n1 so a single component can carry all holes")
 
     states: list[tuple[int, ...]] = []
 
@@ -86,7 +82,7 @@ def enumerate_vector_states(
         for m in range(min(rem_count, rem_holes // j) + 1):
             extend(j - 1, rem_count - m, rem_holes - j * m, [m] + prefix)
 
-    extend(jmax, n0, n1, [])
+    extend(n1, n0, n1, [])
     if return_states:
         return len(states), states
     return len(states)
@@ -141,12 +137,10 @@ def enumerate_composition_states(
     return len(states), states
 
 
-def count_all(n0: int, n1: int, jmax: int | None = None) -> StateCount:
-    """Evaluate all three counts; callers inspect ``discrepancy``."""
-    if jmax is None:
-        jmax = max(n1, 0)
+def count_all(n0: int, n1: int) -> StateCount:
+    """Evaluate all three counts, the guarded ones first; callers inspect ``discrepancy``."""
     return StateCount(
-        formula_count=count_states_formula(n0, n1),
-        vector_count=enumerate_vector_states(n0, n1, jmax),
+        vector_count=enumerate_vector_states(n0, n1),
         composition_count=enumerate_composition_states(n0, n1),
+        formula_count=count_states_formula(n0, n1),
     )

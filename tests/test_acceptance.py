@@ -409,10 +409,10 @@ def test_criterion_7_state_counting():
         for n1 in range(1, 13):
             if n0 != n1:
                 assert count_states_formula(n0, n1) == enumerate_composition_states(n0, n1)
-    assert enumerate_vector_states(2, 2, 2) == 2
-    assert enumerate_vector_states(3, 3, 3) == 3
-    vector_n4 = enumerate_vector_states(4, 4, 4)
-    vector_43 = enumerate_vector_states(4, 3, 3)
+    assert enumerate_vector_states(2, 2) == 2
+    assert enumerate_vector_states(3, 3) == 3
+    vector_n4 = enumerate_vector_states(4, 4)
+    vector_43 = enumerate_vector_states(4, 3)
     assert vector_n4 == 5 and vector_43 == 3
     ok = report(
         "C7", True,

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -568,6 +569,16 @@ class TestStatesCommand:
     def test_guard_exits_4(self, capsys):
         assert run_cli("states", "--b0", "45", "--b1", "45") == 4
 
+    def test_guard_runs_before_any_count(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("states", "--b0", "2000000", "--b1", "1000000") == 4
+        assert time.perf_counter() - start < 1.0
+
+    def test_jmax_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("states", "--b0", "2", "--b1", "2", "--jmax", "5000")
+        assert exc.value.code == 2
+
 
 #: every key a config file accepts
 CONFIG_KEYS = (
@@ -793,9 +804,9 @@ FUZZ_ARGV = {
         options(workers=hostile_or("1", "2")),
     ),
     "states": st.tuples(
-        hostile_or("2", "4", "12", "41").map(lambda b0: [f"--b0={b0}"]),
-        hostile_or("2", "4", "12", "41").map(lambda b1: [f"--b1={b1}"]),
-        options(jmax=hostile_or("1", "12")),
+        # 99999 and 100000 lie past every guard, where the closed-form sum would crawl
+        hostile_or("2", "4", "12", "41", "99999").map(lambda b0: [f"--b0={b0}"]),
+        hostile_or("2", "4", "12", "41", "100000").map(lambda b1: [f"--b1={b1}"]),
         switch("--list"),
     ),
 }

@@ -176,6 +176,33 @@ class TestConfig:
     def test_hash_tracks_content(self):
         assert quick_config().manifest_hash() != quick_config(master_seed=1).manifest_hash()
 
+    def test_equal_configs_hash_alike(self):
+        # a config file always spells the float fields as floats
+        ints = EnsembleConfig(side=32, L=32, rs=1, n_realizations=3, thresholds=(0,),
+                              model=PowerSpectrumModel(amplitude=1, alpha=0))
+        floats = EnsembleConfig(side=32, L=32.0, rs=1.0, n_realizations=3, thresholds=(0.0,),
+                                model=PowerSpectrumModel(amplitude=1.0, alpha=0.0))
+        assert ints == floats
+        assert ints.manifest_hash() == floats.manifest_hash()
+        assert ints.to_manifest() == floats.to_manifest()
+        assert type(ints.L) is float and type(ints.model.amplitude) is float
+
+    def test_numpy_scalar_config_runs_and_writes(self, tmp_path):
+        cfg = EnsembleConfig(
+            side=np.int64(32), L=np.float32(32), rs=np.float64(1), n_realizations=np.int32(3),
+            thresholds=np.array([-1.0, 0.0]), master_seed=np.int64(5),
+            model=PowerSpectrumModel(alpha=np.float32(0.5)),
+        )
+        plain = EnsembleConfig(side=32, L=32.0, rs=1.0, n_realizations=3, thresholds=(-1.0, 0.0),
+                               master_seed=5, model=PowerSpectrumModel(alpha=0.5))
+        assert cfg.manifest_hash() == plain.manifest_hash()
+        result = run_ensemble(cfg, workers=1)
+        ens.write_summary_csv(result, tmp_path / "summary.csv")
+        ens.write_manifest(result, tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["manifest_hash"] == plain.manifest_hash()
+        assert config_from_manifest(manifest) == plain
+
     def test_written_manifest_records_environment(self, tmp_path, quick_result):
         path = tmp_path / "manifest.json"
         ens.write_manifest(quick_result, path)

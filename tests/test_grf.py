@@ -349,6 +349,23 @@ class TestFieldIO:
         assert g.rs_applied == pytest.approx(f.rs_applied)
         assert tuple(g.seed) == (5, 3)
 
+    def test_numpy_seed_roundtrip(self, tmp_path):
+        f = generate(FLAT, 32, 32.0, 2, seed=(np.int64(3), np.uint8(1)))
+        assert f.seed == (3, 1) and all(type(p) is int for p in f.seed)
+        path = tmp_path / "field.bin"
+        save_field(f, path)
+        g = load_field(path)
+        assert g.seed == (3, 1)
+        assert np.array_equal(g.values, generate(FLAT, 32, 32.0, 2, seed=(3, 1)).values)
+
+    def test_unwritable_sidecar_writes_no_file(self, tmp_path):
+        # json refuses a numpy float; the sidecar text is built before either file opens
+        field = FieldGrid(dim=2, side=32, L=np.float32(1), values=np.zeros((32, 32)), seed=0)
+        path = tmp_path / "field.bin"
+        with pytest.raises(TypeError):
+            save_field(field, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_roundtrip_3d(self, tmp_path):
         f = generate(FLAT, 32, 32.0, 3, seed=9)
         path = tmp_path / "field3.bin"

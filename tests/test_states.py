@@ -59,40 +59,41 @@ class TestFormula:
 
 class TestVectorOracle:
     def test_n2(self):
-        count, states = enumerate_vector_states(2, 2, 2, return_states=True)
+        count, states = enumerate_vector_states(2, 2, return_states=True)
         assert count == 2
         assert set(states) == {(0, 2, 0), (1, 0, 1)}
 
     def test_n3(self):
-        assert enumerate_vector_states(3, 3, 3) == 3
+        assert enumerate_vector_states(3, 3) == 3
 
     def test_n4_has_five_states(self):
-        count, states = enumerate_vector_states(4, 4, 4, return_states=True)
+        count, states = enumerate_vector_states(4, 4, return_states=True)
         assert count == 5
         assert (2, 0, 2, 0, 0) in states  # the state missing from the n-state rule
 
     def test_4_3(self):
-        assert enumerate_vector_states(4, 3, 3) == 3
+        assert enumerate_vector_states(4, 3) == 3
 
     def test_guard(self):
         with pytest.raises(SizeError):
-            enumerate_vector_states(41, 2, 2)
+            enumerate_vector_states(41, 2)
 
     def test_jmax_too_small(self):
-        with pytest.raises(DomainError):
+        # the vector length follows from n1, so a stale third argument is refused
+        with pytest.raises(TypeError):
             enumerate_vector_states(2, 5, 3)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError, match="non-negative"):
-            enumerate_vector_states(-1, 0, 0)
+            enumerate_vector_states(-1, 0)
 
     def test_matches_partition_oracle(self):
         # states with b0 = b1 = n biject onto partitions of n into <= n parts
         for n in range(1, 21):
-            assert enumerate_vector_states(n, n, n) == partition_count(n, n)
+            assert enumerate_vector_states(n, n) == partition_count(n, n)
 
     def test_constraints_hold(self):
-        _, states = enumerate_vector_states(5, 7, 7, return_states=True)
+        _, states = enumerate_vector_states(5, 7, return_states=True)
         for vec in states:
             assert sum(vec) == 5
             assert sum(j * m for j, m in enumerate(vec)) == 7
@@ -149,9 +150,14 @@ class TestCrossChecks:
     @settings(max_examples=60, deadline=None)
     @given(n0=st.integers(0, 12), n1=st.integers(0, 12))
     def test_vector_never_exceeds_composition(self, n0, n1):
-        vec = enumerate_vector_states(n0, n1, max(n1, 0))
+        vec = enumerate_vector_states(n0, n1)
         comp = enumerate_composition_states(n0, n1)
         assert vec <= comp
+
+    def test_count_all_guards_before_the_formula(self):
+        # the closed-form sum over a million binomials never starts
+        with pytest.raises(SizeError):
+            count_all(2_000_000, 1_000_000)
 
     def test_count_all_discrepancy_flag(self):
         assert not count_all(2, 2).discrepancy
