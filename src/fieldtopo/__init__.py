@@ -5,7 +5,8 @@ statistics of excursion-set topology: spectral moments and length scales
 (`spectrum`), periodic field synthesis and smoothing (`grf`), the hole-count
 spectrum and Betti numbers in 2D (`topo2d`) and 3D (`topo3d`), seeded
 ensembles folded into per-threshold moments (`ensemble`), Binomial fits and
-diagnostics on those moments (`inference`), and combinatorial state counting
+diagnostics on those moments (`inference`), and the count of coefficient
+states behind a (b0, b1) pair by partition number and closed form
 (`states`).  The `fieldtopo` command exposes the pipeline from the shell.
 """
 
@@ -35,8 +36,7 @@ from .states import (
     StateCount,
     count_all,
     count_states_formula,
-    enumerate_composition_states,
-    enumerate_vector_states,
+    vector_states,
 )
 from .topo2d import (
     ExcursionMask,
@@ -73,8 +73,6 @@ __all__ = [
     "count_all",
     "count_states_formula",
     "duality_check",
-    "enumerate_composition_states",
-    "enumerate_vector_states",
     "euler_closed_cell",
     "eval_power",
     "excursion_mask",
@@ -95,4 +93,5 @@ __all__ = [
     "spectral_moment",
     "spectral_params",
     "topo_stats_from_spectrum",
+    "vector_states",
 ]

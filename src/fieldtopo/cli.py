@@ -244,8 +244,7 @@ def _cmd_states(args: argparse.Namespace) -> int:
         "discrepancy": count.discrepancy,
     }
     if args.list:
-        _, vectors = states_mod.enumerate_vector_states(args.b0, args.b1, return_states=True)
-        payload["states"] = [list(v) for v in vectors]
+        payload["states"] = [list(v) for v in states_mod.vector_states(count)]
     print(json.dumps(payload))
     return 0
 

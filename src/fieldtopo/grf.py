@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .spectrum import PowerSpectrumModel, check_rs, eval_power
+from .spectrum import PowerSpectrumModel, check_rs, check_type, eval_power
 
 _MAGIC = b"EXTF"
 _VERSION = 1
@@ -53,6 +53,9 @@ class FieldGrid:
     rs_applied: float = 0.0
 
     def __post_init__(self) -> None:
+        # the seed is left as given: `check_type` reads no Sequence[int]
+        for name, tp in (("dim", int), ("side", int), ("L", float), ("rs_applied", float)):
+            setattr(self, name, check_type(name, getattr(self, name), tp, ConfigError))
         expected = (self.side,) * self.dim
         if self.values.shape != expected:
             raise ConfigError(

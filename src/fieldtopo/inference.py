@@ -279,9 +279,9 @@ class DualityRow:
 
 
 def symmetric(thresholds: Sequence[float]) -> bool:
-    """Whether a threshold grid is its own mirror image about 0 (to 1e-9)."""
-    nus = np.sort(np.asarray(thresholds, dtype=float))
-    return bool(np.allclose(nus, -nus[::-1], rtol=0.0, atol=1e-9))
+    """Whether a finite threshold grid is its own mirror image about 0 (to 1e-9)."""
+    nus = np.sort(np.asarray(thresholds, dtype=float)) / 2  # halves: the sum cannot overflow
+    return bool(np.all(np.abs(nus + nus[::-1]) <= 0.5e-9))
 
 
 def duality_check(summaries: Sequence[ThresholdSummary]) -> list[DualityRow]:

@@ -38,10 +38,9 @@ from fieldtopo import (
     analytic_chi_gaussian,
     betti3d,
     betti_from_h,
+    count_all,
     count_states_formula,
     duality_check,
-    enumerate_composition_states,
-    enumerate_vector_states,
     expected_chi,
     fit_binomial_chi,
     fit_binomial_moments,
@@ -52,6 +51,7 @@ from fieldtopo import (
     topo_stats_from_spectrum,
 )
 from fieldtopo.ensemble import config_from_manifest, write_summary_csv
+from state_oracles import enumerate_composition_states
 
 FLAT = PowerSpectrumModel(amplitude=1.0, alpha=0.0)
 MASTER_SEED = 20250801
@@ -409,10 +409,10 @@ def test_criterion_7_state_counting():
         for n1 in range(1, 13):
             if n0 != n1:
                 assert count_states_formula(n0, n1) == enumerate_composition_states(n0, n1)
-    assert enumerate_vector_states(2, 2) == 2
-    assert enumerate_vector_states(3, 3) == 3
-    vector_n4 = enumerate_vector_states(4, 4)
-    vector_43 = enumerate_vector_states(4, 3)
+    assert count_all(2, 2).vector_count == 2
+    assert count_all(3, 3).vector_count == 3
+    vector_n4 = count_all(4, 4).vector_count
+    vector_43 = count_all(4, 3).vector_count
     assert vector_n4 == 5 and vector_43 == 3
     ok = report(
         "C7", True,

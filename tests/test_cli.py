@@ -567,7 +567,36 @@ class TestStatesCommand:
         assert exc.value.code == 2
 
     def test_guard_exits_4(self, capsys):
-        assert run_cli("states", "--b0", "45", "--b1", "45") == 4
+        # 4000 * 4000 additions are past the work guard of 10^7
+        assert run_cli("states", "--b0", "4000", "--b1", "4000") == 4
+        assert "over the cap" in capsys.readouterr().err
+
+    def test_past_the_old_guards(self, capsys):
+        assert run_cli("states", "--b0", "45", "--b1", "45") == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "formula": 45, "vector": 89134, "composition": 17592186044416,
+            "discrepancy": True,
+        }
+        # b0 = 0 costs nothing however long b1 is
+        assert run_cli("states", "--b0", "0", "--b1", "1000000000000", "--list") == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "formula": 0, "vector": 0, "composition": 0, "discrepancy": False,
+            "states": [],
+        }
+
+    def test_list_one_long_vector(self, capsys):
+        # one part of 5000 holes: the listing recurses over parts, not over j
+        assert run_cli("states", "--b0", "1", "--b1", "5000", "--list") == 0
+        (vec,) = json.loads(capsys.readouterr().out)["states"]
+        assert vec == [0] * 5000 + [1]
+
+    def test_listing_cap_exits_4(self, capsys):
+        # 200 001 vectors of length 400 001: refused after the count, before the
+        # listing, which would not finish in any bound
+        start = time.perf_counter()
+        assert run_cli("states", "--b0", "2", "--b1", "400000", "--list") == 4
+        assert time.perf_counter() - start < 5.0
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_guard_runs_before_any_count(self, capsys):
         start = time.perf_counter()
@@ -804,7 +833,8 @@ FUZZ_ARGV = {
         options(workers=hostile_or("1", "2")),
     ),
     "states": st.tuples(
-        # 99999 and 100000 lie past every guard, where the closed-form sum would crawl
+        # (99999, 100000) lies past the work guard, where the counts would crawl,
+        # and (41, 100000) inside it
         hostile_or("2", "4", "12", "41", "99999").map(lambda b0: [f"--b0={b0}"]),
         hostile_or("2", "4", "12", "41", "100000").map(lambda b1: [f"--b1={b1}"]),
         switch("--list"),

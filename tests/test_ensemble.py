@@ -828,6 +828,12 @@ class TestDualityCheck:
         assert not inference.symmetric((-100.0, 100.0009))
         assert not inference.symmetric((-3.0, 0.0, 3.00002))
 
+    def test_symmetric_rule_near_the_float_limit(self):
+        # mirrored pairs near +-1e308 must not overflow on their way to a verdict
+        with np.errstate(all="raise"):
+            assert not inference.symmetric((-1e308, 1e308, 1.5e308))
+            assert inference.symmetric((-1.7e308, 0.0, 1.7e308))
+
     def test_perfect_duality_passes(self):
         for sd in (1.0, 0.0):  # sd = 0: no standard error, and no excess either
             summaries = [manual_summary(nu, 10.0, 10.0, sd=sd) for nu in (-1.0, 0.0, 1.0)]

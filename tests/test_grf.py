@@ -359,12 +359,28 @@ class TestFieldIO:
         assert np.array_equal(g.values, generate(FLAT, 32, 32.0, 2, seed=(3, 1)).values)
 
     def test_unwritable_sidecar_writes_no_file(self, tmp_path):
-        # json refuses a numpy float; the sidecar text is built before either file opens
-        field = FieldGrid(dim=2, side=32, L=np.float32(1), values=np.zeros((32, 32)), seed=0)
+        # json refuses a numpy integer seed; the sidecar text is built before either file opens
+        field = FieldGrid(dim=2, side=32, L=1.0, values=np.zeros((32, 32)), seed=np.int64(0))
         path = tmp_path / "field.bin"
         with pytest.raises(TypeError):
             save_field(field, path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_scalar_fields_roundtrip(self, tmp_path):
+        field = FieldGrid(dim=np.int64(2), side=np.int32(32), L=np.float32(1),
+                          values=np.zeros((32, 32)), seed=0, rs_applied=np.float64(0.5))
+        assert type(field.L) is float and type(field.side) is int
+        path = tmp_path / "field.bin"
+        save_field(field, path)
+        g = load_field(path)
+        assert (g.dim, g.side, g.L, g.rs_applied) == (2, 32, 1.0, 0.5)
+
+    @pytest.mark.parametrize("name, value", [("L", "1"), ("side", 32.0), ("rs_applied", None)])
+    def test_field_type_rejected(self, name, value):
+        kwargs = dict(dim=2, side=32, L=1.0, values=np.zeros((32, 32)), seed=0)
+        kwargs[name] = value
+        with pytest.raises(ConfigError, match=name):
+            FieldGrid(**kwargs)
 
     def test_roundtrip_3d(self, tmp_path):
         f = generate(FLAT, 32, 32.0, 3, seed=9)

@@ -246,8 +246,6 @@ class TestSpectralParams:
     def test_bad_box_rejected(self, L):
         with pytest.raises(DomainError, match="box size L"):
             spectral_params(FLAT, 1.0, L, 2)
-        with pytest.raises(DomainError, match="box size L"):
-            spectral_params(FLAT, rs=1.0, L=L, dim=2).r_c
 
     def test_nan_rs_rejected(self):
         with pytest.raises(DomainError, match="smoothing length"):
