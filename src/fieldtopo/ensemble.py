@@ -236,7 +236,7 @@ def measure_mask(mask: ExcursionMask) -> dict:
     """The mask's row of the per-realization table, keyed by `TABLE_COLUMNS`, and its m_j as "m".
 
     2D: `hole_spectrum`, with `euler_closed_cell` as the independent check of its run graph.
-    3D: `betti3d`, whose chi is the closed-cell count; it measures no m_j ("m" None, jmax 0).
+    3D: `betti3d`, whose chi is read off its run graph; it measures no m_j ("m" None, jmax 0).
     """
     if mask.dim == 3:
         st = betti3d(mask)

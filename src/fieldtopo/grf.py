@@ -1,7 +1,7 @@
 """Periodic Gaussian random field synthesis, smoothing and field I/O.
 
 Fields are realized by spectral synthesis on the real-FFT half lattice
-(``numpy.fft.rfftn``/``irfftn``): white Gaussian noise is drawn in real
+(``numpy.fft.rfftn`` and its inverse): white Gaussian noise is drawn in real
 space, transformed, and each Fourier mode is scaled by
 sqrt(P(|k|) N^d / L^d) so that the sample variance reproduces the integral of
 the power spectrum over the box modes.  Gaussian smoothing is fused into the
@@ -13,9 +13,10 @@ give bit-identical fields within one FFT implementation.
 The synthesis gain depends only on (model, side, L, dim, rs), so it is
 computed once per configuration and kept, read-only, for the next call (one
 entry: an ensemble draws every realization from one configuration).  The
-forward transforms write into one half-lattice buffer that the gain then
-scales in place, and the white noise is released before the inverse
-transform, so a realization peaks at about three field-sized arrays.
+forward transform writes into one half-lattice buffer that the gain then
+scales in place, the white noise is released before the inverse transform,
+and the inverse runs through that buffer in place, so a realization peaks
+at the buffer and the output field: about 2.15 field-sized arrays.
 """
 
 from __future__ import annotations
@@ -117,9 +118,16 @@ def _synthesis_gain(
 
 
 def _filter(spec: np.ndarray, gain: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Scale half-lattice modes in place by a real gain; return the real field of ``shape``."""
+    """Scale half-lattice modes in place by a real gain; return the real field of ``shape``.
+
+    The inverse transform is ``irfftn``'s, axis by axis in its order: ``ifft``
+    over each leading axis in place, then ``irfft`` over the half axis into
+    the field, so it allocates no complex temporary.
+    """
     spec *= gain
-    return np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+    for axis in range(len(shape) - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=shape[-1], axis=-1)
 
 
 def generate(
@@ -134,9 +142,9 @@ def generate(
 
     One real-FFT pass: the white noise is transformed with ``rfftn``, each
     mode of the half lattice is scaled by sqrt(P(|k|) N^d / L^d) and by the
-    Gaussian window exp(-k^2 rs^2 / 2), and ``irfftn`` returns the field as
-    a C-contiguous float64 array.  The result equals
-    ``smooth(generate(..., rs=0), rs)`` to rounding.
+    Gaussian window exp(-k^2 rs^2 / 2), and ``irfftn``'s inverse, run in
+    place, returns the field as a C-contiguous float64 array.  The result
+    equals ``smooth(generate(..., rs=0), rs)`` to rounding.
 
     Parameters
     ----------

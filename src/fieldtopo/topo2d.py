@@ -130,7 +130,10 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, ...]:
     - ``u``, ``v``: for each edge, the run it leaves and the later run it
       reaches; each joined pair of runs is one edge, both ends under one root;
     - ``frame``: True at the roots of the components with a run in a line on
-      the frame or starting or ending at a face of the last axis.
+      the frame or starting or ending at a face of the last axis;
+    - ``e_face``: the number of edges between runs in face-adjacent lines
+      (one step along one line axis), which in 2D and without ``touching``
+      is every edge; `betti3d` reads chi off it.
 
     The mask is copied into lines along the last axis, each followed by one
     clear cell, with one clear line after the last along every line axis, so
@@ -138,8 +141,10 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, ...]:
     [start, end) of its cells, and ``seen[k]`` counts the run boundaries at
     or before key k: seen[k] // 2 runs end and (seen[k] + 1) // 2 start at or
     before k.  It is constant between boundaries, so it is filled run-length
-    (``np.repeat`` over their gaps), not summed cell by cell.  That gives
-    every run its range of joined runs in each forward neighbour line.  A
+    (``np.repeat`` over their gaps), not summed cell by cell, as int16 when
+    there are fewer than 2**15 boundaries (int32, then int64, above).  That
+    gives every run its range of joined runs in each forward neighbour line,
+    and their sum over the face lines is ``e_face``.  A
     vectorised union-find then hooks the larger root of every edge onto the
     smaller (``np.minimum.at``) and jumps pointers to their roots, until
     every edge joins one root.
@@ -151,21 +156,27 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, ...]:
     flat[1:].reshape(*grid, width)[tuple(slice(s) for s in line_shape) + (slice(n),)] = bits
     keys = np.flatnonzero(flat[1:] != flat[:-1])
     starts, ends = keys[0::2], keys[1::2]
-    # int32 unless the count could overflow it: half the bytes to fill and to gather from
-    levels = np.arange(keys.size + 1, dtype=np.int32 if keys.size < 2**31 else np.int64)
+    # the narrowest type that holds every level (keys.size is even, so seen + 1
+    # fits too): fewer bytes to fill and to gather from
+    dtype = np.int16 if keys.size < 2**15 else np.int32 if keys.size < 2**31 else np.int64
+    levels = np.arange(keys.size + 1, dtype=dtype)
     seen = np.repeat(levels, np.diff(keys, prepend=0, append=flat.size - 1))
     n_runs = starts.size
 
-    # forward neighbour lines, as line offsets: the next row in 2D; in 3D
-    # (0, +1), (+1, -1), (+1, 0), (+1, +1) when touching, else (0, +1), (+1, 0)
+    # forward neighbour lines, as line offsets: the next row in 2D; in 3D the
+    # face lines (0, +1), (+1, 0), then when touching (+1, -1), (+1, +1)
     g = grid[-1]
-    shifts = [1] if len(grid) == 1 else [1, g - 1, g, g + 1] if touching else [1, g]
+    face = [1] if len(grid) == 1 else [1, g]
+    shifts = face + [g - 1, g + 1] if touching and len(grid) > 1 else face
     slack = 1 if touching else 0
     src, dst = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for shift in shifts:
+    e_face = 0
+    for i, shift in enumerate(shifts):
         offset = shift * width
         first = seen[starts + (offset - slack)] >> 1
         count = ((seen[ends + (offset + slack - 1)] + 1) >> 1) - first
+        if i < len(face):
+            e_face += int(count.sum())
         run = np.flatnonzero(count)  # edge (run, first + k) for each run joined to more than k
         k = 0
         while run.size:
@@ -194,7 +205,7 @@ def run_graph(bits: np.ndarray, touching: bool) -> tuple[np.ndarray, ...]:
     on_frame = frame_line.ravel()[line] | (starts == line * width) | (ends == line * width + n)
     frame = np.zeros(n_runs, dtype=bool)
     frame[root[on_frame]] = True
-    return root, u, v, frame
+    return root, u, v, frame, e_face
 
 
 def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
@@ -219,7 +230,7 @@ def hole_spectrum(mask: ExcursionMask) -> HoleSpectrum:
     """
     if mask.dim != 2:
         raise DomainError("hole_spectrum is defined for 2D masks")
-    root, u, _, frame = run_graph(mask.bits, touching=True)
+    root, u, _, frame, _ = run_graph(mask.bits, touching=True)
     roots = np.flatnonzero(root == np.arange(root.size))
     runs = np.bincount(root)[roots]
     holes = np.bincount(root[u], minlength=root.size)[roots] - runs + 1
@@ -245,8 +256,10 @@ def euler_closed_cell(mask: ExcursionMask) -> int:
     complex: chi = V - E + F (- C).  Along each axis a cell either spans a
     pixel (the interior slice of the padded mask) or lies on a grid line
     (present if either pixel beside it is); a cell spanning k axes enters
-    with sign (-1)^k.  This is an independent cross-check of the run graph;
-    under the closed-cell convention it equals b0 - b1 (+ b2) exactly.
+    with sign (-1)^k.  Under the closed-cell convention it equals b0 - b1
+    (+ b2) exactly.  It is the independent cross-check of the run graph in
+    2D (`measure_mask`'s ``chi_cell``) and the test oracle for the chi that
+    `betti3d` reads off the run graph in 3D.
     """
     cells = [(np.pad(mask.bits, 1), 1)]
     for axis in range(mask.dim):

@@ -357,7 +357,12 @@ class TestRunEnsemble:
 
             monkeypatch.setattr(np.fft, name, counted)
         ens._realize(quick_config(side=side, L=float(side), dim=dim, rs=rs), 0)
-        assert calls == ["rfftn", "irfftn", "rfftn"]
+        # the inverse runs axis by axis in place: one ifft per leading axis, then irfft
+        expected = {
+            2: ["rfftn", "ifft", "irfft", "rfftn"],
+            3: ["rfftn", "ifft", "ifft", "irfft", "rfftn"],
+        }
+        assert calls == expected[dim]
 
     def test_worker_count_invariance(self):
         cfg = quick_config(n_realizations=8)

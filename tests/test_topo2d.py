@@ -359,13 +359,15 @@ class TestAgainstTwoLabelingOracle:
         assert (hs.m, hs.n_background) == ((0, 0, 1), 2)
 
 
-def pairwise_run_graph(bits, touching) -> tuple[list, list, list]:
-    """`run_graph`'s (edges, root, frame), with every pair of runs tested for contact.
+def pairwise_run_graph(bits, touching) -> tuple[list, list, list, int]:
+    """`run_graph`'s (edges, root, frame, e_face), with every pair of runs tested for contact.
 
     Runs are found cell by cell and numbered in C order of their lines.  Two
     runs join when their lines are one step apart along every line axis
     (``touching``) or along exactly one, and their closed cells meet
-    (``touching``) or they share a position.  An edge is (earlier, later).
+    (``touching``) or they share a position.  An edge is (earlier, later);
+    ``e_face`` counts the edges whose lines are one step apart along exactly
+    one axis.
     """
     *line_shape, n = bits.shape
     runs = []
@@ -377,14 +379,16 @@ def pairwise_run_graph(bits, touching) -> tuple[list, list, list]:
             elif not bit and start is not None:
                 runs.append((line, start, x))
                 start = None
-    edges = []
+    edges, e_face = [], 0
     for a, (line_a, start_a, end_a) in enumerate(runs):
         for b, (line_b, start_b, end_b) in enumerate(runs):
             step = tuple(j - i for i, j in zip(line_a, line_b))
-            near = max(map(abs, step)) == 1 if touching else sum(map(abs, step)) == 1
+            face = sum(map(abs, step)) == 1
+            near = max(map(abs, step)) == 1 if touching else face
             overlap = min(end_a, end_b) - max(start_a, start_b)
             if near and step > (0,) * len(step) and overlap >= (0 if touching else 1):
                 edges.append((a, b))
+                e_face += face
 
     root = list(range(len(runs)))
 
@@ -401,16 +405,16 @@ def pairwise_run_graph(bits, touching) -> tuple[list, list, list]:
     for r, (line, start, end) in enumerate(runs):
         if start == 0 or end == n or any(i in (0, s - 1) for i, s in zip(line, line_shape)):
             frame[root[r]] = True
-    return sorted(edges), root, frame
+    return sorted(edges), root, frame, e_face
 
 
 class TestRunGraphAgainstPairwiseOverlaps:
-    """The exact edge set, roots and frame flags of `run_graph`, 2D and 3D."""
+    """The exact edge set, roots, frame flags and face-edge count of `run_graph`, 2D and 3D."""
 
     @staticmethod
     def check(bits, touching):
-        root, u, v, frame = run_graph(np.asarray(bits, dtype=bool), touching)
-        got = (sorted(zip(u.tolist(), v.tolist())), root.tolist(), frame.tolist())
+        root, u, v, frame, e_face = run_graph(np.asarray(bits, dtype=bool), touching)
+        got = (sorted(zip(u.tolist(), v.tolist())), root.tolist(), frame.tolist(), e_face)
         assert got == pairwise_run_graph(np.asarray(bits, dtype=bool), touching)
 
     @pytest.mark.parametrize("touching", [True, False])

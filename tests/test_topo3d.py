@@ -3,13 +3,17 @@
 `two_labeling_counts` is the voxel route `betti3d` took before it counted
 runs: label the foreground (26-connected) and the background (6-connected)
 and drop the background labels that reach the frame.  `betti3d`'s run graph
-is checked against it.
+is checked against it, and its chi, read off the run graph, against
+`euler_closed_cell`, which counts the closed cells one by one.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
 from fieldtopo import (
@@ -21,7 +25,8 @@ from fieldtopo import (
     generate,
 )
 from fieldtopo.errors import DomainError
-from test_topo2d import touches_frame  # the frame rule of the 2D oracle
+from fieldtopo.topo2d import run_graph
+from test_topo2d import pairwise_run_graph, touches_frame  # the 2D oracles
 
 REFERENCE_THRESHOLDS = [-3.5 + 0.5 * i for i in range(15)]
 
@@ -107,6 +112,33 @@ class TestInvariants:
             bits = rng.random((64, 64, 64)) < rng.uniform(0.1, 0.9)
             stats = betti3d(mask3(bits))
             assert stats.b1 >= 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=8)))
+    @example(np.zeros((1, 1, 7), dtype=bool))
+    @example(np.ones((1, 1, 7), dtype=bool))
+    @example(np.array([[[1, 0, 1, 1, 0, 0, 1]]], dtype=bool))
+    @example(np.zeros((4, 5, 6), dtype=bool))
+    @example(np.ones((4, 5, 6), dtype=bool))
+    @example(np.ones((1, 5, 6), dtype=bool))
+    @example(np.ones((5, 1, 6), dtype=bool))
+    @example(np.ones((5, 6, 1), dtype=bool))
+    @example(hollow_shell())
+    def test_chi_from_the_run_graph_is_the_closed_cell_count(self, bits):
+        stats = betti3d(mask3(bits))
+        assert stats.chi == euler_closed_cell(mask3(bits))
+        assert stats.b1 >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(bool, array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6)),
+        st.booleans(),
+    )
+    @example(np.ones((1, 1, 5), dtype=bool), True)
+    @example(np.ones((3, 1, 4), dtype=bool), True)
+    @example(np.ones((1, 3, 4), dtype=bool), True)
+    def test_face_edges_match_the_pairwise_count(self, bits, touching):
+        assert run_graph(bits, touching)[4] == pairwise_run_graph(bits, touching)[3]
 
     def test_negation_swaps_cavities_and_components(self):
         bits = hollow_shell()
