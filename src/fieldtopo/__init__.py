@@ -16,13 +16,13 @@ from .inference import (
     BinomialFit,
     analytic_chi_amplitude,
     analytic_chi_gaussian,
-    check_mj_inequality,
     duality_check,
     expected_chi,
     fit_binomial_chi,
     fit_binomial_moments,
     normality_trend,
     pdf_compare,
+    variance_split,
 )
 from .spectrum import (
     PowerSpectrumModel,
@@ -69,7 +69,6 @@ __all__ = [
     "analytic_chi_gaussian",
     "betti3d",
     "betti_from_h",
-    "check_mj_inequality",
     "count_all",
     "count_states_formula",
     "duality_check",
@@ -93,5 +92,6 @@ __all__ = [
     "spectral_moment",
     "spectral_params",
     "topo_stats_from_spectrum",
+    "variance_split",
     "vector_states",
 ]

@@ -133,8 +133,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         k_high_cutoff=args.khigh,
     )
     field = generate(model, args.n, args.boxsize, args.dim, seed=args.seed, rs=args.rs)
+    moments = sample_moments(field)  # before the dump, so a refused field leaves none
     save_field(field, args.out)
-    moments = sample_moments(field)
     print(json.dumps({"mean": moments.mean, "sigma0": moments.sigma0,
                       "sigma1": moments.sigma1}))
     return 0

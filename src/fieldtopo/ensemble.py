@@ -205,7 +205,8 @@ class EnsembleResult:
         Computed on each call, never stored; a 3D result raises `DomainError`,
         as `spectrum_at` does.  With j = 0 .. jmax, b0 = 1.m and
         b1 = j.m, so every second moment of b0, b1, chi and bsum is a
-        quadratic form of C: Cov(b0, b1) = 1^T C j, var(chi) = (1-j)^T C (1-j).
+        quadratic form of C; `inference.variance_split(C)` gives each one
+        beside the part that independent m_j would give.
         """
         _, table = self._mj_table(nu)
         return table.mean(axis=0), np.atleast_2d(np.cov(table, rowvar=False))

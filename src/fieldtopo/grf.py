@@ -222,7 +222,8 @@ def sample_moments(field: FieldGrid) -> FieldMoments:
     of an even side.  There, and at every other Nyquist index of an even
     axis d, the mode carries no d-gradient: i k_d F_k is anti-Hermitian
     there, so the real gradient field has no such mode.  An odd side has no
-    Nyquist index.
+    Nyquist index.  A sigma1 that overflows a float, as a tiny box's
+    wavenumbers make it, raises `DomainError`.
     """
     values = field.values
     mean = float(values.mean())
@@ -232,12 +233,15 @@ def sample_moments(field: FieldGrid) -> FieldMoments:
     np.multiply(v, v, out=v)
     power = v[..., 0::2] + v[..., 1::2]
     del v
-    # the weight of each half-axis column is 1 or 2, so folding it into k2
-    # changes no product
-    k2 = _k_squared(field.side, field.L, field.dim, drop_nyquist=True)
-    k2[..., 1 : None if field.side % 2 else -1] *= 2.0
-    power *= k2
-    sigma1 = math.sqrt(float(np.sum(power))) / values.size
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as sigma1 below
+        # the weight of each half-axis column is 1 or 2, so folding it into k2
+        # changes no product
+        k2 = _k_squared(field.side, field.L, field.dim, drop_nyquist=True)
+        k2[..., 1 : None if field.side % 2 else -1] *= 2.0
+        power *= k2
+        sigma1 = math.sqrt(float(np.sum(power))) / values.size
+    if not math.isfinite(sigma1):
+        raise DomainError(f"sigma1 overflows a float (L = {field.L}, side = {field.side})")
     return FieldMoments(mean=mean, sigma0=sigma0, sigma1=sigma1)
 
 

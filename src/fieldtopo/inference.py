@@ -50,13 +50,15 @@ MAX_PDF_BINS = 2**24
 
 def analytic_chi_amplitude(r_c: float) -> float:
     """Amplitude of the mean Euler characteristic density: 1/(4 sqrt(2) pi^1.5 r_c^2)."""
-    if not (math.isfinite(r_c) and r_c > 0):
-        raise DomainError(f"r_c must be positive and finite, got {r_c}")
+    if not (math.isfinite(r_c) and r_c > 0 and r_c * r_c > 0):
+        raise DomainError(f"r_c must be positive and finite, its square too, got {r_c}")
     return 1.0 / (4.0 * math.sqrt(2.0) * math.pi**1.5 * r_c * r_c)
 
 
 def analytic_chi_gaussian(nu: float, r_c: float) -> float:
     """Mean Euler characteristic per unit area of a 2D Gaussian field."""
+    if not math.isfinite(nu):
+        raise DomainError("nu must be finite")
     return analytic_chi_amplitude(r_c) * nu * math.exp(-0.5 * nu * nu)
 
 
@@ -68,62 +70,42 @@ def expected_chi(nu: float, r_c: float, L: float) -> float:
     L^2 rho_2(nu) + 2L rho_1(nu) + (1 - Phi(nu)), where rho_2 is
     `analytic_chi_gaussian` and rho_1 = exp(-nu^2/2)/(2 sqrt(2) pi r_c).
     The last two terms are what a clipped window adds to the area-only mean.
+    A mean that overflows a float raises `DomainError`.
     """
-    if not math.isfinite(nu):
-        raise DomainError("nu must be finite")
     if not (math.isfinite(L) and L > 0):
         raise DomainError("window side L must be positive and finite")
     rho2 = analytic_chi_gaussian(nu, r_c)
     rho1 = math.exp(-0.5 * nu * nu) / (2.0 * math.sqrt(2.0) * math.pi * r_c)
     from scipy.special import ndtr  # on first use, like `binom` in `pdf_compare`
 
-    return L * L * rho2 + 2.0 * L * rho1 + float(ndtr(-nu))
+    chi = L * L * rho2 + 2.0 * L * rho1 + float(ndtr(-nu))
+    if not math.isfinite(chi):
+        raise DomainError(f"the mean chi overflows a float (nu = {nu}, r_c = {r_c}, L = {L})")
+    return chi
 
 
 # ---------------------------------------------------------------------------
-# spectrum-level inequality diagnostic
+# variance split over the m_j covariance
 
 
-@dataclass
-class MjInequalityReport:
-    total_sum: float
-    violating_j: list[int]
-    per_j_margin: dict[int, float]
+def variance_split(cov: np.ndarray) -> dict[str, tuple[float, float]]:
+    """Each second moment of the m_j sums as (total, the part independent m_j give).
 
-    @property
-    def total_negative(self) -> bool:
-        return self.total_sum < 0
-
-
-def check_mj_inequality(mean: np.ndarray, cov: np.ndarray) -> MjInequalityReport:
-    """Evaluate the anti-correlation inequality on the m_j moments.
-
-    ``mean`` and ``cov`` are the coefficient moments at one threshold, as
-    `EnsembleResult.coefficient_moments` returns them; only the diagonal of
-    ``cov`` is read.  The total is sum_j j (<m_j^2> - <m_j> sum_k <m_k>) =
-    sum_j j <m_j^2> - <b0><b1>.  It falls short of Cov(b0, b1) by
-    sum_{j != k} k <m_j m_k>, so the two agree only when no realization
-    holds components with two different hole counts; the exact value is
-    Cov(b0, b1) = 1^T C j.  The strict per-component condition
-    <m_j> + var(m_j)/<m_j> < sum_k <m_k> is checked for every populated
-    j >= 1; violations are compatible with a negative total.  Moments of
-    mismatched shapes, or any that is not finite, raise `DomainError`.
+    ``cov`` is the m_j covariance C that `EnsembleResult.coefficient_moments`
+    returns.  b0, b1, chi and bsum weight the m_j by w = 1, j, 1 - j and 1 + j,
+    so under each name in `STATISTICS` the pair is (w^T C w, sum_j w_j^2 C_jj);
+    under "cov_b0b1" it is (1^T C j, sum_j j C_jj), whose independent part is
+    never negative.  A C that is not a non-empty, square, finite 2-D array
+    raises `DomainError`.
     """
-    mean, cov = np.asarray(mean), np.asarray(cov)
-    if not (mean.ndim == 1 and cov.shape == (mean.size, mean.size)):
-        raise DomainError(f"mean {mean.shape} and cov {cov.shape}: need (n,) and (n, n)")
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise DomainError("the m_j moments must be finite")
-    if not (mean > 0).any():
-        raise DomainError("no m_j is populated")
-    # <m_j^2> - <m_j> sum_k <m_k>: the total's term at j and the condition times
-    # <m_j>; an unpopulated j has mean and variance 0, so its term is 0
-    margin = mean * mean + np.diag(cov) - mean * mean.sum()
-    total = float(np.arange(mean.size) @ margin)
-    populated = np.flatnonzero(mean[1:] > 0) + 1
-    margins = dict(zip(populated.tolist(), margin[populated].tolist()))
-    violating = [j for j, m in margins.items() if m >= 0]
-    return MjInequalityReport(total_sum=total, violating_j=violating, per_j_margin=margins)
+    cov = np.asarray(cov)
+    if not (cov.ndim == 2 and cov.shape[0] == cov.shape[1] > 0 and np.isfinite(cov).all()):
+        raise DomainError(f"cov {cov.shape} must be a non-empty, square, finite 2-D array")
+    j = np.arange(len(cov), dtype=float)
+    one, diag = np.ones_like(j), np.diag(cov)
+    pairs = {stat: (w, w) for stat, w in zip(STATISTICS, (one, j, one - j, one + j))}
+    pairs["cov_b0b1"] = (one, j)
+    return {name: (float(u @ cov @ v), float(u * v @ diag)) for name, (u, v) in pairs.items()}
 
 
 # ---------------------------------------------------------------------------

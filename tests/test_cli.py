@@ -76,7 +76,7 @@ class TestGen:
         "flags",
         [["--boxsize", "nan"], ["--boxsize", "inf"], ["--boxsize", "1e-300"],
          ["--boxsize", "1e308"], ["--boxsize", "1e200", "--dim", "3"],
-         ["--boxsize", "32", "--amplitude", "1e308"]],
+         ["--boxsize", "32", "--amplitude", "1e308"], ["--boxsize", "1e-100"]],
     )
     def test_non_finite_field_exits_4_without_dump(self, tmp_path, capsys, flags):
         out = tmp_path / "f.bin"
@@ -474,6 +474,19 @@ class TestEnsembleCommand:
         assert code == 4
         assert not (outdir / "summary.csv").exists()
         site = "realization 0, seed (0, 0): the box volume L^2 overflows a float (L = 1e+200)"
+        assert site in capsys.readouterr().err
+        assert site in (outdir / "PARTIAL_OUTPUT").read_text()
+
+    def test_overflowing_gradient_exits_4(self, tmp_path, capsys):
+        # a finite field whose sigma1 overflows: the run stops at realization 0,
+        # not at the tail fit, which would read r_c = sigma0 / inf = 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 32\nboxsize = 1e-150\nthresholds = 3\n")
+        outdir = tmp_path / "o"
+        code = run_cli("ensemble", "--config", str(cfg), "--output-dir", str(outdir))
+        assert code == 4
+        assert not (outdir / "summary.csv").exists()
+        site = "realization 0, seed (0, 0): sigma1 overflows a float"
         assert site in capsys.readouterr().err
         assert site in (outdir / "PARTIAL_OUTPUT").read_text()
 

@@ -28,7 +28,6 @@ from fieldtopo import (
     ThresholdSummary,
     analytic_chi_amplitude,
     analytic_chi_gaussian,
-    check_mj_inequality,
     duality_check,
     expected_chi,
     fit_binomial_chi,
@@ -36,11 +35,12 @@ from fieldtopo import (
     normality_trend,
     pdf_compare,
     run_ensemble,
+    variance_split,
 )
 import fieldtopo.ensemble as ens
 import fieldtopo.inference as inference
 from fieldtopo.ensemble import TABLE_COLUMNS, config_from_manifest, measure_mask
-from fieldtopo.inference import N_TRIALS_CAP
+from fieldtopo.inference import N_TRIALS_CAP, STATISTICS
 from fieldtopo.errors import ConfigError, DegenerateFieldError, DomainError
 
 FLAT = PowerSpectrumModel(1.0)
@@ -395,14 +395,9 @@ class TestRunEnsemble:
             one = np.ones(mean.size)
             assert mean @ one == pytest.approx(s.mean["b0"], rel=1e-9)
             assert mean @ j == pytest.approx(s.mean["b1"], rel=1e-9)
-            for u, v, expected in (
-                (one, one, s.sd["b0"] ** 2),
-                (j, j, s.sd["b1"] ** 2),
-                (one, j, s.cov_b0b1),
-                (one - j, one - j, s.sd["chi"] ** 2),
-                (one + j, one + j, s.sd["bsum"] ** 2),
-            ):
-                assert u @ cov @ v == pytest.approx(expected, rel=1e-9)
+            totals = {name: total for name, (total, _) in variance_split(cov).items()}
+            expected = {stat: s.sd[stat] ** 2 for stat in STATISTICS}
+            assert totals == pytest.approx({**expected, "cov_b0b1": s.cov_b0b1}, rel=1e-9)
 
     def test_coefficient_moments_unknown_threshold(self, quick_result):
         with pytest.raises(DomainError):
@@ -472,9 +467,12 @@ class TestAnalyticChi:
 
     def test_amplitude_scale(self):
         assert analytic_chi_amplitude(2.0) == pytest.approx(analytic_chi_amplitude(1.0) / 4)
-        for r_c in (0.0, -1.0, math.nan, math.inf):
+        for r_c in (0.0, -1.0, math.nan, math.inf, 1e-200):  # 1e-200 squares to 0
             with pytest.raises(DomainError, match="r_c must be positive and finite"):
                 analytic_chi_amplitude(r_c)
+        for nu in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="nu must be finite"):
+                analytic_chi_gaussian(nu, 1.0)
         with pytest.raises(DomainError):
             expected_chi(1.0, math.inf, 10.0)
 
@@ -506,70 +504,65 @@ class TestExpectedChi:
     def test_domain(self):
         for nu, r_c, L in ((1.0, 0.0, 10.0), (1.0, 1.0, 0.0), (1.0, 1.0, -5.0),
                            (1.0, 1.0, math.inf), (math.inf, 1.0, 10.0),
-                           (math.nan, 1.0, 10.0)):
+                           (math.nan, 1.0, 10.0), (1.0, 1e-200, 10.0),
+                           (0.0, 1.0, 1e200), (-1.0, 1.0, 1e160)):
             with pytest.raises(DomainError):
                 expected_chi(nu, r_c, L)
 
 
 class TestMjInequality:
-    def test_single_j_fails(self):
-        report = check_mj_inequality(np.array([0.0, 0.0, 3.0]), np.diag([0.0, 0.0, 1.5]))
-        assert report.total_sum == pytest.approx(2 * 1.5)
-        assert not report.total_negative
-        assert report.violating_j == [2]
-        assert report.per_j_margin == pytest.approx({2: 1.5})
+    """The b0-b1 anti-correlation in the m_j covariance, split by `variance_split`."""
 
-    def test_deterministic_two_j_negative(self):
-        report = check_mj_inequality(np.array([2.0, 3.0]), np.zeros((2, 2)))
-        # total = 1 * m1 * (m1 - (m0 + m1)) = 3 * (3 - 5) = -6
-        assert report.total_sum == pytest.approx(-6.0)
-        assert report.total_negative
-        assert report.violating_j == []
+    def test_single_j_fails(self):
+        # one populated j has no cross-j term: Cov(b0, b1) = j var(m_j) >= 0
+        split = variance_split(np.diag([0.0, 0.0, 1.5]))
+        assert split["cov_b0b1"] == pytest.approx((3.0, 3.0))
+        assert split["b1"] == pytest.approx((6.0, 6.0))
+
+    def test_anticorrelated_two_j_negative(self):
+        # m_0 = const - 2 m_1: var 4 and 1, covariance -2 (every sum is exact)
+        split = variance_split(np.array([[4.0, -2.0], [-2.0, 1.0]]))
+        assert split == {
+            "b0": (1.0, 5.0), "b1": (1.0, 1.0), "chi": (4.0, 4.0), "bsum": (0.0, 8.0),
+            "cov_b0b1": (-1.0, 1.0),
+        }
 
     def test_gaussian_ensemble_negative_at_minus_one(self, quick_result):
-        report = check_mj_inequality(*quick_result.coefficient_moments(-1.0))
-        assert report.total_negative
+        _, cov = quick_result.coefficient_moments(-1.0)
+        total, independent = variance_split(cov)["cov_b0b1"]
+        assert total < 0 <= independent
 
     def test_matches_loop_over_populated_j(self, quick_result):
         for t, nu in enumerate(quick_result.config.thresholds):
             table = quick_result.mj_tables[t]
-            mean_mj = {j: float(m) for j, m in enumerate(table.mean(axis=0)) if m > 0}
-            var_mj = {j: float(v) for j, v in enumerate(table.var(axis=0, ddof=1))}
-            total_mean = sum(mean_mj.values())
-            total = 0.0
-            margins = {}
-            for j, mean_j in mean_mj.items():
-                second_moment = var_mj[j] + mean_j * mean_j
-                total += j * (second_moment - mean_j * total_mean)
-                if j >= 1:
-                    margins[j] = mean_j * mean_j + var_mj[j] - mean_j * total_mean
-            report = check_mj_inequality(*quick_result.coefficient_moments(nu))
-            assert report.total_sum == pytest.approx(total, rel=1e-12)
-            assert report.per_j_margin == pytest.approx(margins)
+            expected = dict.fromkeys((*STATISTICS, "cov_b0b1"), 0.0)
+            for j in np.flatnonzero(table.any(axis=0)).tolist():
+                var_j = float(table[:, j].var(ddof=1))
+                for name, w2 in (("b0", 1), ("b1", j * j), ("chi", (1 - j) ** 2),
+                                 ("bsum", (1 + j) ** 2), ("cov_b0b1", j)):
+                    expected[name] += w2 * var_j
+            _, cov = quick_result.coefficient_moments(nu)
+            independent = {name: part for name, (_, part) in variance_split(cov).items()}
+            assert independent == pytest.approx(expected, rel=1e-12)
+            assert independent["cov_b0b1"] >= 0
 
     def test_empty_moments_rejected(self):
-        with pytest.raises(DomainError):
-            check_mj_inequality(np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(DomainError, match="non-empty"):
+            variance_split(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
-        "mean, cov",
-        [
-            (np.ones(3), np.eye(2)),
-            (np.ones(2), np.ones(2)),
-            (np.ones((2, 1)), np.eye(2)),
-        ],
+        "cov", [np.ones(2), np.ones((2, 3)), np.ones((2, 2, 2))], ids=["1-D", "2x3", "3-D"]
     )
-    def test_mismatched_shapes_rejected(self, mean, cov):
-        with pytest.raises(DomainError, match="need \\(n,\\) and \\(n, n\\)"):
-            check_mj_inequality(mean, cov)
+    def test_non_square_rejected(self, cov):
+        with pytest.raises(DomainError, match="non-empty, square, finite 2-D array"):
+            variance_split(cov)
 
-    @pytest.mark.parametrize("where", ["mean", "cov"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_moments_rejected(self, where, bad):
-        mean, cov = np.array([2.0, 1.0]), np.eye(2)
-        {"mean": mean, "cov": cov}[where][1] = bad
+    def test_non_finite_moments_rejected(self, bad):
+        cov = np.eye(2)
+        cov[0, 1] = bad
         with pytest.raises(DomainError, match="finite"):
-            check_mj_inequality(mean, cov)
+            variance_split(cov)
 
     def test_3d_result_rejected(self):
         # betti3d measures no m_j, so a 3D result stores no m_j table

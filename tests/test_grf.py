@@ -313,6 +313,17 @@ class TestSampleMoments:
         assert spectral_gradient_sigma1(f) < 1e-12
         assert sample_moments(f).sigma1 < 1e-12
 
+    @pytest.mark.parametrize(
+        "dim, L, scale", [(2, 1e-100, 1e100), (3, 1e-100, 1e100), (2, 1e-160, 1.0)]
+    )
+    def test_overflowing_sigma1_rejected(self, dim, L, scale):
+        # finite fields on tiny boxes: |k|^2 |F_k|^2 overflows (values of the
+        # size `generate` gives there, ~ L^(-dim/2)), or |k|^2 itself does
+        values = scale * np.random.default_rng(3).standard_normal((32,) * dim)
+        f = FieldGrid(dim=dim, side=32, L=L, values=values, seed=0)
+        with pytest.raises(DomainError, match="sigma1 overflows a float"):
+            sample_moments(f)
+
     def test_constant_field(self):
         values = np.full((32, 32), 2.5)
         f = FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0)
