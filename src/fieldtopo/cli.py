@@ -25,7 +25,7 @@ from .errors import (
     FieldtopoError,
     FormatError,
 )
-from .grf import generate, load_field, sample_moments, save_field
+from .grf import generate, load_field, sample_moments, sample_sigma0, save_field
 from .inference import symmetric
 from .spectrum import PowerSpectrumModel, check_type
 from .topo2d import ExcursionMask, excursion_mask
@@ -185,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         bits = field.values > 0.5
         rows.append(_sweep_row(math.nan, ExcursionMask(bits=bits)))
     else:
-        sigma = float(field.values.std()) if sigma_mode == "sample" else sigma_mode
+        sigma = sample_sigma0(field) if sigma_mode == "sample" else sigma_mode
         for nu in _sweep_thresholds(args.nu_min, args.nu_max, args.nu_step).tolist():
             rows.append(_sweep_row(nu, excursion_mask(field, nu, sigma)))
     ens.write_csv(args.out, SWEEP_COLUMNS, rows)

@@ -36,8 +36,7 @@ from .spectrum import PowerSpectrumModel, check_rs, check_type, eval_power
 
 _MAGIC = b"EXTF"
 _VERSION = 1
-_HEADER = struct.Struct("<4sHHI")  # magic, version, dim, side; padded to 32 bytes
-_HEADER_SIZE = 32
+_HEADER = struct.Struct("<4sHHI20x")  # magic, version, dim, side, 20 zero bytes: 32 bytes
 
 Seed = int | Sequence[int]
 
@@ -150,28 +149,33 @@ def generate(
     ----------
     model : PowerSpectrumModel
     side : int
-        Pixels per axis; must be a power of two >= 32.  A grid that numpy
-        cannot allocate raises `DomainError`.
+        Pixels per axis; an int that is a power of two >= 32, else `ConfigError`.
+        A grid that numpy cannot allocate raises `DomainError`.
     L : float
-        Physical box size; finite and > 0.  A box whose volume L^d overflows
-        a float, or a field that is not all finite (the amplitude or
-        side^d / L^d overflowed), raises `DomainError`.
+        Physical box size; a real number, finite and > 0.  A box whose volume
+        L^d overflows a float, or a field that is not all finite (the
+        amplitude or side^d / L^d overflowed), raises `DomainError`.
     dim : int
-        2 or 3.
+        The int 2 or 3.
     seed : int or sequence of int
         Seeds the generator: an integer >= 0 or a non-empty tuple or list of
         them, else `DomainError`; an ensemble should pass (master_seed, index)
         so realizations are reproducible independently of scheduling.  The
         field stores it as a Python int or a tuple of them.
     rs : float
-        Gaussian smoothing length (finite, >= 0); 0 leaves the field unsmoothed.
+        Gaussian smoothing length, a real number, finite and >= 0; 0 leaves the
+        field unsmoothed.  A dim, L or rs outside these raises `DomainError`.
     """
+    dim = check_type("dim", dim, int, DomainError)
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
+    side = check_type("side", side, int, ConfigError)
     if side < 32 or side & (side - 1) != 0:
         raise ConfigError(f"grid side must be a power of two >= 32, got {side}")
+    L = check_type("L", L, float, DomainError)
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"box size must be finite and positive, got {L}")
+    rs = check_type("rs", rs, float, DomainError)
     check_rs(rs)
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
     if not parts or not all(
@@ -192,7 +196,7 @@ def generate(
         values = _filter(spec, gain, (side,) * dim)
     if not np.isfinite(values).all():
         raise DomainError(f"the field is not finite (L = {L}, amplitude = {model.amplitude})")
-    return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=float(rs))
+    return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=rs)
 
 
 def smooth(field: FieldGrid, rs: float) -> FieldGrid:
@@ -206,10 +210,21 @@ def smooth(field: FieldGrid, rs: float) -> FieldGrid:
     check_rs(rs)
     if rs == 0.0:
         return replace(field, values=field.values.copy())
-    k2 = _k_squared(field.side, field.L, field.dim)
-    values = _filter(_forward(field.values), np.exp(-0.5 * k2 * rs * rs), field.values.shape)
+    with np.errstate(over="ignore"):  # an overflowing k^2 rs^2 gives the window 0 there
+        window = np.exp(-0.5 * _k_squared(field.side, field.L, field.dim) * rs * rs)
+    values = _filter(_forward(field.values), window, field.values.shape)
     total = float(np.hypot(field.rs_applied, rs))
     return replace(field, values=values, rs_applied=total)
+
+
+def sample_sigma0(field: FieldGrid) -> float:
+    """The standard deviation of a field's samples.  One that is not finite,
+    as finite samples near the float range make it, raises `DomainError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma0 = float(field.values.std())
+    if not math.isfinite(sigma0):
+        raise DomainError(f"sigma0 overflows a float, or a sample is not finite ({sigma0})")
+    return sigma0
 
 
 def sample_moments(field: FieldGrid) -> FieldMoments:
@@ -222,12 +237,12 @@ def sample_moments(field: FieldGrid) -> FieldMoments:
     of an even side.  There, and at every other Nyquist index of an even
     axis d, the mode carries no d-gradient: i k_d F_k is anti-Hermitian
     there, so the real gradient field has no such mode.  An odd side has no
-    Nyquist index.  A sigma1 that overflows a float, as a tiny box's
-    wavenumbers make it, raises `DomainError`.
+    Nyquist index.  A sigma0 that overflows a float (see `sample_sigma0`), or
+    a sigma1 that does, as a tiny box's wavenumbers make it, raises `DomainError`.
     """
     values = field.values
+    sigma0 = sample_sigma0(field)  # first: a finite sigma0 leaves the mean finite too
     mean = float(values.mean())
-    sigma0 = float(values.std())
     # square the spectrum in place: re^2 and im^2 alternate in its float view
     v = _forward(values).view(float)
     np.multiply(v, v, out=v)
@@ -256,10 +271,8 @@ def save_field(field: FieldGrid, path: str | Path) -> None:
     sidecar = {"L": field.L, "rs_applied": field.rs_applied, "seed": field.seed}
     # built before either file opens, so a value JSON refuses leaves no file behind
     sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    header = _HEADER.pack(_MAGIC, _VERSION, field.dim, field.side)
-    header += b"\x00" * (_HEADER_SIZE - len(header))
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, field.dim, field.side))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
     path.with_name(path.name + ".json").write_text(sidecar_text)
 
@@ -268,15 +281,15 @@ def load_field(path: str | Path) -> FieldGrid:
     """Read a binary field dump written by :func:`save_field`.
 
     A missing sidecar is tolerated (L defaults to the grid side, seed to -1).
-    An empty grid, or a sidecar whose L is not finite and > 0 or whose
-    ``rs_applied`` is not finite and >= 0, raises `FormatError`.
+    A wrong-sized body, an empty grid, or a sidecar whose L is not finite and > 0
+    or whose ``rs_applied`` is not finite and >= 0, raises `FormatError`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER_SIZE)
-        if len(raw) < _HEADER_SIZE:
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
-        magic, version, dim, side = _HEADER.unpack(raw[: _HEADER.size])
+        magic, version, dim, side = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
@@ -285,15 +298,13 @@ def load_field(path: str | Path) -> FieldGrid:
             raise FormatError(f"{path}: bad dimension {dim}")
         if side == 0:
             raise FormatError(f"{path}: empty grid (side 0)")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != side**dim:
-        raise FormatError(
-            f"{path}: expected {side**dim} samples, found {data.size}"
-        )
-    n_bad = data.size - np.count_nonzero(np.isfinite(data))
+        body = fh.read()
+    if len(body) != 8 * side**dim:
+        raise FormatError(f"{path}: expected {side**dim} samples, found {len(body)} bytes")
+    values = np.frombuffer(body, dtype="<f8").reshape((side,) * dim).copy()
+    n_bad = values.size - np.count_nonzero(np.isfinite(values))
     if n_bad:
         raise FormatError(f"{path}: {n_bad} non-finite samples")
-    values = data.reshape((side,) * dim).copy()
 
     L, rs_applied, seed = float(side), 0.0, -1
     sidecar_path = path.with_name(path.name + ".json")

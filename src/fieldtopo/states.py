@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, SizeError
+from .spectrum import check_type
 
 #: most additions `count_all` spends, b1 * min(b0, b1), and most entries
 #: `vector_states` lists, count * (b1 + 1)
@@ -45,9 +46,12 @@ class StateCount:
         return self.vector_count != self.formula_count
 
 
-def _check_nonnegative(n0: int, n1: int) -> None:
+def _check_nonnegative(n0: int, n1: int) -> tuple[int, int]:
+    """The pair as Python ints; a bool, a non-integer or a negative count raises `DomainError`."""
+    n0, n1 = check_type("b0", n0, int, DomainError), check_type("b1", n1, int, DomainError)
     if n0 < 0 or n1 < 0:
         raise DomainError(f"counts must be non-negative, got ({n0}, {n1})")
+    return n0, n1
 
 
 def _compositions(n0: int, n1: int) -> int:
@@ -81,7 +85,7 @@ def count_states_formula(n0: int, n1: int) -> int:
     otherwise sum_{k=1}^{min(n0, n1)} C(n1 - 1, k - 1), which for n0 > n1
     collapses to 2^(n1 - 1).
     """
-    _check_nonnegative(n0, n1)
+    n0, n1 = _check_nonnegative(n0, n1)
     return n0 if n0 == n1 > 0 else _compositions(n0, n1)
 
 
@@ -91,7 +95,7 @@ def count_all(n0: int, n1: int) -> StateCount:
     A pair whose vector count would take more than `_WORK_CAP` additions,
     b1 * min(b0, b1), raises `SizeError` before any count starts.
     """
-    _check_nonnegative(n0, n1)
+    n0, n1 = _check_nonnegative(n0, n1)
     if n1 * min(n0, n1) > _WORK_CAP:
         raise SizeError(
             f"counting ({n0}, {n1}) takes b1 * min(b0, b1) = {n1 * min(n0, n1)} "
@@ -111,8 +115,10 @@ def vector_states(count: StateCount) -> list[tuple[int, ...]]:
     `count_all` result, counts, ascending lexicographic in (m_b1, ..., m_1).
 
     A listing of more than `_WORK_CAP` entries, vector_count * (b1 + 1), raises
-    `SizeError` before it starts.
+    `SizeError` before it starts; anything but a `StateCount` raises `DomainError`.
     """
+    if not isinstance(count, StateCount):
+        raise DomainError(f"vector_states takes a count_all result, got {count!r}")
     n0, n1 = count.b0, count.b1
     if count.vector_count * (n1 + 1) > _WORK_CAP:
         raise SizeError(

@@ -39,8 +39,7 @@ class ExcursionMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.dtype != bool:
-            self.bits = self.bits.astype(bool)
+        self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.ndim not in (2, 3):
             raise DomainError(f"mask must be 2D or 3D, got {self.bits.ndim}D")
         if 0 in self.bits.shape:
@@ -108,12 +107,16 @@ def excursion_mask(field: FieldGrid, nu: float, sigma0: float) -> ExcursionMask:
 
     nu = -inf and +inf give the full and the empty mask.  A NaN nu, or a
     sigma0 that is not finite and > 0, has no level and raises: it would
-    give an empty mask that reads as a measured one.
+    give an empty mask that reads as a measured one.  A nu or sigma0 that is
+    no real number raises `DomainError`.
     """
-    if not sigma0 > 0.0:
-        raise DegenerateFieldError(f"sigma0 = {sigma0}: cannot threshold a flat or NaN field")
-    if math.isnan(nu) or math.isinf(sigma0):
-        raise DomainError(f"nu = {nu} with sigma0 = {sigma0}: no threshold level")
+    try:
+        if not sigma0 > 0.0:
+            raise DegenerateFieldError(f"sigma0 = {sigma0}: cannot threshold a flat or NaN field")
+        if math.isnan(nu) or math.isinf(sigma0):
+            raise DomainError(f"nu = {nu} with sigma0 = {sigma0}: no threshold level")
+    except TypeError as exc:  # a non-number fails these comparisons; a number pays no extra check
+        raise DomainError(f"nu = {nu!r} with sigma0 = {sigma0!r}: no threshold level") from exc
     return ExcursionMask(bits=field.values >= nu * sigma0)
 
 

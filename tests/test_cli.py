@@ -818,6 +818,8 @@ FUZZ_DUMPS = {
     "no_sidecar.bin": (0, 0), "list_sidecar.bin": (3, 3),
     "L_nan.bin": (3, 3), "L_neg.bin": (3, 3), "L_zero.bin": (3, 3), "L_abc.bin": (3, 3),
     "rs_nan.bin": (3, 3), "rs_neg.bin": (3, 3),
+    "ragged.bin": (3, 3),  # a body that is no whole number of samples
+    "huge.bin": (4, 0),  # finite samples ~1e300: sigma0 overflows, the 0.5 mask does not
 }
 
 #: argv by subcommand; @DIR stands for the fuzz directory
@@ -880,6 +882,8 @@ def fuzz_dir(tmp_path_factory):
     variant("dim0.bin", raw[:6] + (0).to_bytes(2, "little") + raw[8:])
     variant("dim4.bin", raw[:6] + (4).to_bytes(2, "little") + raw[8:])
     variant("truncated.bin", raw[:-8])
+    variant("ragged.bin", raw[:-3])
+    variant("huge.bin", raw[:32] + (1e300 * np.frombuffer(raw[32:], dtype="<f8")).tobytes())
     variant("nan.bin", sample(math.nan))
     variant("inf.bin", sample(math.inf))
     variant("magic.bin", b"FTXE" + raw[4:])

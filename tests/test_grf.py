@@ -52,6 +52,15 @@ class TestGenerate:
         for seed in (-1, (-1, 0), 1.5):
             with pytest.raises(DomainError, match="seed"):
                 generate(FLAT, 32, 32.0, 2, seed=seed)
+        # a wrongly typed argument is refused by name, not by a bare TypeError
+        with pytest.raises(ConfigError, match="side must be int"):
+            generate(FLAT, 32.0, 32.0, 2, seed=0)
+        with pytest.raises(DomainError, match="dim must be int"):
+            generate(FLAT, 32, 32.0, 2.0, seed=0)
+        with pytest.raises(DomainError, match="L must be float"):
+            generate(FLAT, 32, "32", 2, seed=0)
+        with pytest.raises(DomainError, match="rs must be float"):
+            generate(FLAT, 32, 32.0, 2, seed=0, rs="1")
 
     def test_values_of_the_wrong_shape_rejected(self):
         with pytest.raises(ConfigError, match=r"values shape \(32, 16\) does not match"):
@@ -249,6 +258,13 @@ class TestSmooth:
         with pytest.raises(DomainError):
             smooth(f, rs)
 
+    def test_huge_rs_leaves_the_mean_without_a_warning(self):
+        # k^2 rs^2 overflows to inf off k = 0, so the window keeps the k = 0 mode alone
+        f = generate(FLAT, 32, 32.0, 2, seed=1)
+        f.values += 1.5
+        g = smooth(f, 1e200)
+        assert g.values == pytest.approx(np.full((32, 32), f.values.mean()), abs=1e-12)
+
 
 def spectral_gradient_sigma1(field: FieldGrid) -> float:
     """RMS gradient from full complex transforms: fftn, then ifftn(i k_d F).real per axis."""
@@ -322,6 +338,13 @@ class TestSampleMoments:
         values = scale * np.random.default_rng(3).standard_normal((32,) * dim)
         f = FieldGrid(dim=dim, side=32, L=L, values=values, seed=0)
         with pytest.raises(DomainError, match="sigma1 overflows a float"):
+            sample_moments(f)
+
+    def test_overflowing_sigma0_rejected(self):
+        # finite samples of size ~1e300: their squares overflow, and no numpy warning escapes
+        values = 1e300 * np.random.default_rng(3).standard_normal((32, 32))
+        f = FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0)
+        with pytest.raises(DomainError, match="sigma0 overflows a float"):
             sample_moments(f)
 
     def test_constant_field(self):
@@ -420,6 +443,16 @@ class TestFieldIO:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="samples"):
             load_field(path)
+
+    def test_body_of_the_wrong_byte_count_rejected(self, tmp_path):
+        # the body is checked by its byte count before numpy reads it as float64
+        path = tmp_path / "field.bin"
+        save_field(generate(FLAT, 32, 32.0, 2, seed=1), path)
+        raw = path.read_bytes()
+        for body in (raw[32:-3], raw[32:40]):  # ragged; one sample long
+            path.write_bytes(raw[:32] + body)
+            with pytest.raises(FormatError, match="samples"):
+                load_field(path)
 
     def test_missing_sidecar_defaults(self, tmp_path):
         f = generate(FLAT, 32, 48.0, 2, seed=1)

@@ -1,5 +1,6 @@
 """State counting: the recurrence and closed forms against two exhaustive oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,11 @@ class TestFormula:
         with pytest.raises(DomainError):
             count_states_formula(2, -1)
 
+    @pytest.mark.parametrize("n0, n1", [(2.5, 1), (2, "2"), (True, 1), (2.0, 3.0)])
+    def test_non_integer_rejected(self, n0, n1):
+        with pytest.raises(DomainError, match="must be int"):
+            count_states_formula(n0, n1)
+
     def test_big_integers(self):
         assert count_states_formula(100, 80) == 2**79
 
@@ -91,6 +97,20 @@ class TestVectorOracle:
             count_all(-1, 0)
         with pytest.raises(DomainError, match="non-negative"):
             count_all(0, -1)
+
+    @pytest.mark.parametrize("n0, n1", [(2.5, 1), ("2", 1), (1, True)])
+    def test_non_integer_rejected(self, n0, n1):
+        with pytest.raises(DomainError, match="must be int"):
+            count_all(n0, n1)
+
+    def test_numpy_integers_taken_as_python_ints(self):
+        count = count_all(np.int64(4), np.uint8(4))
+        assert (count.b0, count.b1, count.vector_count) == (4, 4, 5)
+        assert type(count.b0) is int and type(count.b1) is int
+
+    def test_non_count_rejected(self):
+        with pytest.raises(DomainError, match="count_all result"):
+            vector_states("x")
 
     def test_matches_partition_oracle(self):
         # vectors for (b0, b1) biject onto partitions of b1 into <= b0 parts

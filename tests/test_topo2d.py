@@ -97,7 +97,9 @@ class TestExcursionMask:
         with pytest.raises(DomainError, match="empty axis"):
             ExcursionMask(bits=np.zeros(shape, dtype=bool))
 
-    @pytest.mark.parametrize("nu, sigma0", [(math.nan, 1.0), (0.0, math.inf), (1.0, math.inf)])
+    @pytest.mark.parametrize(
+        "nu, sigma0", [(math.nan, 1.0), (0.0, math.inf), (1.0, math.inf), ("0", 1.0), (0.0, "1")]
+    )
     def test_no_threshold_level_rejected(self, nu, sigma0):
         with pytest.raises(DomainError, match="no threshold level"):
             excursion_mask(self.field(), nu, sigma0)
@@ -106,6 +108,11 @@ class TestExcursionMask:
         mask = ExcursionMask(bits=np.array([[0, 2], [1, 0]]))
         assert mask.bits.dtype == bool
         assert mask.bits.tolist() == [[False, True], [True, False]]
+
+    def test_nested_list_bits_cast_to_bool(self):
+        mask = ExcursionMask(bits=[[1, 0], [0, 1]])
+        assert mask.bits.dtype == bool
+        assert mask.bits.tolist() == [[True, False], [False, True]]
 
     def test_monotone_in_threshold(self):
         f = self.field()
