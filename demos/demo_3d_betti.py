@@ -16,6 +16,7 @@ from fieldtopo import (
     excursion_mask,
     generate,
 )
+from fieldtopo.grf import sample_sigma0
 
 
 def show(name, bits):
@@ -43,7 +44,7 @@ show("solid torus", torus)
 field = generate(PowerSpectrumModel(1.0), 64, 64.0, dim=3, seed=11, rs=3.0)
 print(f"\n64^3 Gaussian field, rs = 3:")
 print(f"{'nu':>5} {'b0':>6} {'b1':>6} {'b2':>6} {'chi':>7} {'bsum':>7}")
-sigma0 = float(field.values.std())
+sigma0 = sample_sigma0(field)
 for nu in (-2.0, -1.0, 0.0, 1.0, 2.0):
     stats = betti3d(excursion_mask(field, nu, sigma0))
     print(f"{nu:5.1f} {stats.b0:6d} {stats.b1:6d} {stats.b2:6d} "

@@ -28,8 +28,8 @@ field = generate(model, side, box, dim=2, seed=20250801, rs=rs)
 moments = sample_moments(field)
 predicted_sigma0 = math.sqrt(spectral_moment(model, 0, rs, 0.0, math.inf, 2))
 predicted_rc = spectral_params(model, rs=rs, L=box, dim=2).r_c
-print(f"sample sigma0 = {moments.sigma0:.5f}   (quadrature: {predicted_sigma0:.5f})")
-print(f"sample r_c    = {moments.sigma0 / moments.sigma1:.3f}   (quadrature: {predicted_rc:.3f})")
+print(f"sample sigma0 = {moments.sigma0:.5f}   (closed form: {predicted_sigma0:.5f})")
+print(f"sample r_c    = {moments.sigma0 / moments.sigma1:.3f}   (closed form: {predicted_rc:.3f})")
 
 print(f"\n{'nu':>5} {'b0':>6} {'b1':>6} {'chi':>6} {'bsum':>6} {'jmax':>5}  occupancy")
 for nu in (-2.0, -1.0, 0.0, 1.0, 2.0):

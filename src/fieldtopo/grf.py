@@ -43,7 +43,11 @@ Seed = int | Sequence[int]
 
 @dataclass
 class FieldGrid:
-    """A real scalar field sampled on a periodic square or cubic lattice."""
+    """A real scalar field sampled on a periodic square or cubic lattice.
+
+    Values of the wrong shape raise `ConfigError`, and values that are not
+    all finite raise `DomainError`.
+    """
 
     dim: int
     side: int
@@ -61,6 +65,8 @@ class FieldGrid:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match {expected}"
             )
+        if not np.isfinite(self.values).all():
+            raise DomainError(f"the field is not finite (L = {self.L}, side = {self.side})")
 
 
 class FieldMoments(NamedTuple):
@@ -192,10 +198,8 @@ def generate(
     spec = _forward(white)
     del white  # freed before the inverse transform allocates its buffers
     gain = _synthesis_gain(model, side, L, dim, rs)
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite field below
+    with np.errstate(all="ignore"):  # an overflow gives a non-finite field: FieldGrid refuses it
         values = _filter(spec, gain, (side,) * dim)
-    if not np.isfinite(values).all():
-        raise DomainError(f"the field is not finite (L = {L}, amplitude = {model.amplitude})")
     return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=rs)
 
 
@@ -281,8 +285,9 @@ def load_field(path: str | Path) -> FieldGrid:
     """Read a binary field dump written by :func:`save_field`.
 
     A missing sidecar is tolerated (L defaults to the grid side, seed to -1).
-    A wrong-sized body, an empty grid, or a sidecar whose L is not finite and > 0
-    or whose ``rs_applied`` is not finite and >= 0, raises `FormatError`.
+    A wrong-sized body, an empty grid, a sample that is not finite, or a
+    sidecar whose L is not finite and > 0 or whose ``rs_applied`` is not finite
+    and >= 0, raises `FormatError`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -302,9 +307,6 @@ def load_field(path: str | Path) -> FieldGrid:
     if len(body) != 8 * side**dim:
         raise FormatError(f"{path}: expected {side**dim} samples, found {len(body)} bytes")
     values = np.frombuffer(body, dtype="<f8").reshape((side,) * dim).copy()
-    n_bad = values.size - np.count_nonzero(np.isfinite(values))
-    if n_bad:
-        raise FormatError(f"{path}: {n_bad} non-finite samples")
 
     L, rs_applied, seed = float(side), 0.0, -1
     sidecar_path = path.with_name(path.name + ".json")
@@ -324,4 +326,7 @@ def load_field(path: str | Path) -> FieldGrid:
         seed = sidecar.get("seed", -1)
         if isinstance(seed, list):
             seed = tuple(seed)
-    return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=rs_applied)
+    try:
+        return FieldGrid(dim=dim, side=side, L=L, values=values, seed=seed, rs_applied=rs_applied)
+    except DomainError as exc:  # a non-finite sample
+        raise FormatError(f"{path}: {exc}") from exc

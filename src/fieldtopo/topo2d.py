@@ -39,7 +39,10 @@ class ExcursionMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=bool)
+        try:
+            self.bits = np.asarray(self.bits, dtype=bool)
+        except ValueError as exc:  # a ragged nested list
+            raise DomainError(f"mask bits are not a rectangular array: {exc}") from exc
         if self.bits.ndim not in (2, 3):
             raise DomainError(f"mask must be 2D or 3D, got {self.bits.ndim}D")
         if 0 in self.bits.shape:

@@ -18,6 +18,7 @@ from fieldtopo.cli import (
 )
 from fieldtopo.ensemble import TABLE_COLUMNS, EnsembleConfig, manifest_types, run_ensemble
 from fieldtopo.errors import ConfigError
+from fieldtopo import grf
 from fieldtopo.grf import FieldGrid, generate, save_field
 from fieldtopo.spectrum import PowerSpectrumModel
 
@@ -221,10 +222,12 @@ class TestSweep:
             _sweep_thresholds(0.0, float(top + 1), 1.0)
 
     def test_nan_pixel_exits_3(self, tmp_path):
+        # FieldGrid refuses a NaN sample, so the dump is written by hand
         values = np.zeros((32, 32))
         values[4, 4] = math.nan
-        save_field(FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0),
-                   tmp_path / "nan.bin")
+        (tmp_path / "nan.bin").write_bytes(
+            grf._HEADER.pack(grf._MAGIC, grf._VERSION, 2, 32) + values.astype("<f8").tobytes()
+        )
         out = tmp_path / "x.csv"
         code = run_cli("sweep", "--field", str(tmp_path / "nan.bin"), "--out", str(out))
         assert code == 3

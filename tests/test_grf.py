@@ -1,4 +1,4 @@
-"""Field synthesis against quadrature oracles, plus format round-trips."""
+"""Field synthesis against the spectral-moment oracles, plus format round-trips."""
 
 import math
 import tracemalloc
@@ -66,9 +66,16 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=r"values shape \(32, 16\) does not match"):
             FieldGrid(dim=2, side=32, L=32.0, values=np.zeros((32, 16)), seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((32, 32))
+        values[3, 4] = bad
+        with pytest.raises(DomainError, match="the field is not finite"):
+            FieldGrid(dim=2, side=32, L=32.0, values=values, seed=0)
+
     def test_variance_matches_quadrature(self):
         # flat spectrum: every lattice mode carries the same power, so the
-        # quadrature window with the equal-area high cut (k^2 = 4 pi N^2/L^2)
+        # moment over the disc with the equal-area high cut (k^2 = 4 pi N^2/L^2)
         # reproduces the full mode sum
         model = PowerSpectrumModel(amplitude=2.0, alpha=0.0)
         side, L, nseeds = 256, 256.0, 100
@@ -453,6 +460,16 @@ class TestFieldIO:
             path.write_bytes(raw[:32] + body)
             with pytest.raises(FormatError, match="samples"):
                 load_field(path)
+
+    def test_non_finite_sample_rejected(self, tmp_path):
+        # save_field cannot write one: FieldGrid refuses it, so the bytes are patched
+        path = tmp_path / "field.bin"
+        save_field(generate(FLAT, 32, 32.0, 2, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[40:48] = np.array([math.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="the field is not finite"):
+            load_field(path)
 
     def test_missing_sidecar_defaults(self, tmp_path):
         f = generate(FLAT, 32, 48.0, 2, seed=1)

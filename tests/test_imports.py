@@ -1,11 +1,13 @@
 """Import budget: a run loads only the scipy submodules it uses.
 
 `import fieldtopo` needs numpy and no scipy submodule.  The normal CDF
-(`expected_chi`, `pdf_compare`), the Binomial PMF (`pdf_compare`, ensembles
-of 100 or more realizations) and the spectral quadrature (`spectral_moment`)
-load `scipy.special`, `scipy.stats` and `scipy.integrate` on first use, so
-`gen`, `sweep` and small ensembles, 2D and 3D, never pay for them.  No
-route loads `scipy.ndimage`.  Each check runs in a fresh interpreter.
+(`expected_chi`, `pdf_compare`) and the Binomial PMF (`pdf_compare`,
+ensembles of 100 or more realizations) load `scipy.special` and
+`scipy.stats` on first use, and the incomplete Gamma functions of the
+spectral moments (`spectral_moment`, `spectral_params`) load `scipy.special`,
+so `gen`, `sweep` and small ensembles, 2D and 3D, never pay for them.  The
+moments are closed forms: they load no `scipy.integrate`.  No route loads
+`scipy.ndimage`.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -82,19 +84,25 @@ print(json.dumps(steps))
 
 def test_lazily_loaded_functions_work_from_a_fresh_interpreter(tmp_path):
     code = """
-import json
+import json, sys
 import numpy as np
 from fieldtopo import (
     PowerSpectrumModel, expected_chi, fit_binomial_moments, pdf_compare, spectral_moment,
+    spectral_params,
 )
+s0 = spectral_moment(PowerSpectrumModel(1.0), 0, 2.0, 0.0, float("inf"), 2)
+r_c = spectral_params(PowerSpectrumModel(1.0), 2.0, 64.0, 2).r_c
+integrate = "scipy.integrate" in sys.modules  # before scipy.stats, which loads it
 samples = np.random.default_rng(3).binomial(20, 0.3, size=100)
 fit = fit_binomial_moments(float(samples.mean()), float(samples.var(ddof=1)))
 cmp = pdf_compare(samples, fit)
-s0 = spectral_moment(PowerSpectrumModel(1.0), 0, 2.0, 0.0, float("inf"), 2)
 chi = expected_chi(0.0, 1.0, 10.0)
-print(json.dumps({"valid": fit.valid, "tv_binomial": cmp.tv_binomial, "s0": s0, "chi": chi}))
+print(json.dumps({"valid": fit.valid, "tv_binomial": cmp.tv_binomial, "s0": s0, "chi": chi,
+                  "r_c": r_c, "integrate": integrate}))
 """
     out = run_fresh(code, tmp_path)
+    assert out["integrate"] is False
+    assert out["r_c"] > 0
     assert out["valid"]
     # at nu = 0 the area term vanishes: 2 L rho_1(0) + 1 - Phi(0)
     assert abs(out["chi"] - (10.0 / (2**0.5 * 3.141592653589793) + 0.5)) < 1e-12

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fieldtopo import (
     PowerSpectrumModel,
@@ -13,7 +13,12 @@ from fieldtopo import (
     spectral_moment,
     spectral_params,
 )
-from fieldtopo.errors import DegenerateFieldError, DivergenceError, DomainError
+from fieldtopo.errors import (
+    DegenerateFieldError,
+    DivergenceError,
+    DomainError,
+    FieldtopoError,
+)
 
 FLAT = PowerSpectrumModel(amplitude=1.0, alpha=0.0)
 
@@ -146,7 +151,8 @@ class TestSpectralMoment:
             spectral_moment(FLAT, n, rs, kmin, math.inf, dim)
 
     def test_window_ending_below_low_cutoff_is_zero(self):
-        # rs = 5 truncates the integral at k = 8 / 5, below the cutoff at 10
+        # past the cutoff at 10 the window is below exp(-(10 * 5)^2) = e^-2500,
+        # so the exact value underflows to 0.0
         model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=10.0)
         assert spectral_moment(model, 0, 5.0, 0.0, math.inf, 2) == 0.0
 
@@ -155,13 +161,74 @@ class TestSpectralMoment:
         rs_lo=st.floats(0.2, 5.0),
         factor=st.floats(1.01, 4.0),
         n=st.integers(0, 2),
-        alpha=st.floats(-1.0, 2.0),
+        alpha=st.floats(-6.0, 4.0),
     )
     def test_monotone_nonincreasing_in_rs(self, rs_lo, factor, n, alpha):
+        # kmin > 0 keeps the steep spectra finite at k -> 0
         model = PowerSpectrumModel(1.0, alpha)
-        lo = spectral_moment(model, n, rs_lo, 0.0, math.inf, 2)
-        hi = spectral_moment(model, n, rs_lo * factor, 0.0, math.inf, 2)
+        lo = spectral_moment(model, n, rs_lo, 0.05, math.inf, 2)
+        hi = spectral_moment(model, n, rs_lo * factor, 0.05, math.inf, 2)
         assert hi <= lo * (1 + 1e-9)
+
+    def test_deep_in_the_window_tail(self):
+        # Gamma(a, x) at a = -3.75 and x = 400: stepped down from Gamma(0.25, x)
+        # it would lose digits, x / |b| at each step; 60-digit mpmath value
+        model = PowerSpectrumModel(1.0, -9.5, k_low_cutoff=5.0)
+        got = spectral_moment(model, 0, 4.0, 2 * math.pi / 64.0, math.inf, 2)
+        assert got == pytest.approx(2.155499945146663e-183, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rs", [0.0, 1e-4, 1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [-2.0, -4.0, -3.0])
+    def test_continuous_across_integer_alpha(self, alpha, rs):
+        # p + 1 or (p + 1) / 2 is an integer <= 0 at these alpha: one ulp off
+        # must give the same value, not a difference divided by ~1e-16
+        model = PowerSpectrumModel(1.0, alpha, k_high_cutoff=None if rs else 3.0)
+        at = spectral_moment(model, 0, rs, 0.1, math.inf, 2)
+        for off in (np.nextafter(alpha, -math.inf), np.nextafter(alpha, math.inf)):
+            shifted = PowerSpectrumModel(1.0, float(off), k_high_cutoff=model.k_high_cutoff)
+            got = spectral_moment(shifted, 0, rs, 0.1, math.inf, 2)
+            assert got == pytest.approx(at, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, rs", [(PowerSpectrumModel(1.0, -5000.0), 1e-3), (PowerSpectrumModel(1e308), 1e-3)]
+    )
+    def test_overflow_refused(self, model, rs):
+        with pytest.raises(DomainError, match="overflows a float"):
+            spectral_moment(model, 0, rs, 2 * math.pi / 64.0, math.inf, 2)
+
+    def test_huge_cutoff_keeps_its_value(self):
+        # (k rs)^2 of a 1e200 cutoff is inf, not an OverflowError
+        high = PowerSpectrumModel(1.0, 0.0, k_high_cutoff=1e200)
+        assert spectral_moment(high, 0, 1.0, 0.0, math.inf, 2) == pytest.approx(
+            gamma_moment_oracle(0, 1.0, 2), rel=1e-12
+        )
+        low = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=1e200)
+        assert spectral_moment(low, 0, 1.0, 0.0, math.inf, 2) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        amplitude=st.floats(0.0, 1e300),
+        alpha=st.floats(-1e4, 1e4),
+        k_low=st.none() | st.floats(1e-300, 1e200),
+        k_high=st.none() | st.floats(1e-300, 1e200),
+        rs=st.just(0.0) | st.floats(0.0, 10.0),
+        n=st.integers(0, 2),
+        dim=st.sampled_from([2, 3]),
+        L=st.floats(1e-3, 1e6) | st.just(math.inf),
+    )
+    def test_finite_value_or_typed_refusal(self, amplitude, alpha, k_low, k_high, rs, n, dim, L):
+        assume(k_low is None or k_high is None or k_low < k_high)
+        model = PowerSpectrumModel(amplitude, alpha, k_low, k_high)
+        kmin = 0.0 if math.isinf(L) else 2.0 * math.pi / L
+        try:
+            value = spectral_moment(model, n, rs, kmin, math.inf, dim)
+        except FieldtopoError:
+            return  # a divergence or an overflow, named; never a bare Python error
+        assert math.isfinite(value) and value >= 0.0
+        lo, hi = max(kmin, k_low or 0.0), k_high or math.inf
+        moderate = amplitude >= 1e-10 and 1e-10 < lo < 1.0 and hi >= 2 * lo and lo * rs < 1.0
+        if moderate and -6 < alpha < 4:
+            assert value > 0.0  # no factor of it comes near the float range here
 
 
 class TestCorrelationLength:
@@ -169,6 +236,11 @@ class TestCorrelationLength:
         # sigma1^2/sigma0^2 = Gamma(5/2)/Gamma(3/2) = 3/2 for flat 3D, rs = 1
         assert spectral_params(FLAT, rs=1.0, L=math.inf, dim=3).r_c == pytest.approx(
             math.sqrt(2.0 / 3.0), rel=1e-9
+        )
+        # k >= 2 under exp(-16 k^2) in 2D: sigma1^2 / sigma0^2 = 65 / 16
+        model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=2.0)
+        assert spectral_params(model, rs=4.0, L=256.0, dim=2).r_c == pytest.approx(
+            4.0 / math.sqrt(65.0), rel=1e-12
         )
 
     def test_type2_invariant_under_L(self):
@@ -182,6 +254,9 @@ class TestCorrelationLength:
         r1 = spectral_params(model, rs=1e-4, L=200.0, dim=3).r_c
         r2 = spectral_params(model, rs=5e-5, L=200.0, dim=3).r_c
         assert r2 == pytest.approx(r1, rel=1e-6)
+        # (k rs)^2 underflows here: the window is 1, as at rs = 0
+        r0 = spectral_params(model, rs=0.0, L=200.0, dim=3).r_c
+        assert spectral_params(model, rs=1e-300, L=200.0, dim=3).r_c == r0
 
     def test_type1_rs_scaling(self):
         r_big = spectral_params(FLAT, rs=4.0, L=512.0, dim=3).r_c
@@ -190,8 +265,20 @@ class TestCorrelationLength:
 
     def test_degenerate(self):
         model = PowerSpectrumModel(amplitude=0.0)
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(DegenerateFieldError, match="sigma_0"):
             spectral_params(model, rs=1.0, L=math.inf, dim=3).r_c
+        # a band the window leaves below the float range: sigma_0^2 is 0 too
+        model = PowerSpectrumModel(1.0, 0.0, k_low_cutoff=10.0)
+        with pytest.raises(DegenerateFieldError, match="sigma_0"):
+            spectral_params(model, rs=5.0, L=64.0, dim=2)
+
+    def test_steep_spectrum_at_small_rs(self):
+        # 40-digit mpmath: sigma0^2 = 21.08047472565359, sigma1^2 = 1.0119975524695998
+        params = spectral_params(PowerSpectrumModel(1.0, -4.5), rs=1e-4, L=64.0, dim=2)
+        assert params.sigma0**2 == pytest.approx(21.08047472565359, rel=1e-12)
+        assert params.sigma1**2 == pytest.approx(1.0119975524695998, rel=1e-12)
+        assert params.r_c == pytest.approx(4.564050722885011, rel=1e-12)
+
 
     def test_kmax_cap_respected(self):
         capped = spectral_params(FLAT, rs=0.0, L=100.0, dim=2, kmax=3.0).r_c
@@ -220,6 +307,12 @@ class TestPackingFraction:
     def test_rejects_dim_4(self):
         with pytest.raises(DomainError, match="dim must be 2 or 3"):
             packing_fraction(1.0, 1.0, 4)
+
+    def test_overflow_refused(self):
+        with pytest.raises(DomainError, match="overflows a float"):
+            packing_fraction(1.0, 1e200, 2)
+        with pytest.raises(DomainError, match="overflows a float"):
+            spectral_params(FLAT, rs=1.0, L=1e150, dim=3)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -84,13 +84,21 @@ class TestExcursionMask:
         values = np.zeros((16, 16))
         values[3, 5] = 1.0
         values[7, 7] = math.nan
+        with pytest.raises(DomainError, match="the field is not finite"):
+            FieldGrid(dim=2, side=16, L=16.0, values=values, seed=0)
+        # the sigma0 of a NaN field is NaN: it has no threshold level
+        values[7, 7] = 0.0
         f = FieldGrid(dim=2, side=16, L=16.0, values=values, seed=0)
         with pytest.raises(DegenerateFieldError):
-            excursion_mask(f, 0.0, float(f.values.std()))
+            excursion_mask(f, 0.0, math.nan)
 
     def test_one_dimensional_bits_rejected(self):
         with pytest.raises(DomainError, match="mask must be 2D or 3D, got 1D"):
             ExcursionMask(bits=np.ones(8, dtype=bool))
+
+    def test_ragged_bits_rejected(self):
+        with pytest.raises(DomainError, match="not a rectangular array"):
+            ExcursionMask(bits=[[1], [0, 1]])
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0, 0), (4, 0, 4)])
     def test_empty_axis_rejected(self, shape):
